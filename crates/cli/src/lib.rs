@@ -37,6 +37,7 @@
 //! The module is a library so the parsing/reporting logic is unit-testable;
 //! `main.rs` is a thin shell.
 
+use datalog::json_escape;
 use repair_core::{RepairError, RepairOutcome, RepairRequest, RepairSession, Semantics};
 use std::fmt::Write as _;
 use storage::{tsv, StorageError};
@@ -598,23 +599,6 @@ pub fn run_explain(
     Ok(ExplainOutput {
         rendered: if opts.json { json } else { human },
     })
-}
-
-/// Minimal JSON string escaping, mirroring `datalog::lint`'s hand-rolled
-/// renderer (the workspace deliberately has no serde dependency).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Everything the run produced, ready for printing or inspection.

@@ -1,10 +1,10 @@
 //! Compilation of validated rules into positional evaluation plans.
 //!
-//! Variables are renumbered to dense indexes, atoms become
-//! [`CompiledAtom`]s over [`Slot`]s, and for every possible *focus* (the
-//! delta atom forced to range over the semi-naive frontier) a greedy join
-//! order is precomputed along with the earliest step at which each
-//! comparison can be checked.
+//! Variables are renumbered to dense indexes and atoms become
+//! [`CompiledAtom`]s over [`Slot`]s. Each rule gets a general join order,
+//! plus one order per body position with that position pinned first — the
+//! *pivot* of semi-naive and change-seeded rounds — each with the earliest
+//! step at which every comparison can be checked.
 //!
 //! Beyond the join *order*, each plan step carries a [`ProbeSpec`]: the
 //! complete static analysis of what is bound when the step runs. Which
@@ -50,24 +50,6 @@ pub struct CompiledCmp {
     pub rhs: Slot,
 }
 
-/// Restriction applied to one atom relative to a distinguished tuple set.
-///
-/// Two enumerations use this partition: **semi-naive frontier rounds**
-/// (delta atoms split over the previous round's newly derived deltas) and
-/// **change-seeded rounds** (*every* atom split over the tuples a mutation
-/// batch touched). Both rely on the same argument: partitioning assignments
-/// by the first body position that binds a distinguished tuple produces
-/// each assignment exactly once.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum DeltaClass {
-    /// Tuples outside the distinguished set (Δ \ frontier, or unchanged).
-    Old,
-    /// Tuples inside the distinguished set (the frontier / the seed).
-    New,
-    /// Unrestricted.
-    All,
-}
-
 /// The static probe analysis of one plan step: given everything bound by
 /// the preceding steps, how the step's atom is matched against storage.
 #[derive(Clone, Debug)]
@@ -101,7 +83,7 @@ impl ProbeSpec {
     }
 }
 
-/// A join order for one rule, possibly specialized to a frontier focus.
+/// A join order for one rule, possibly pinned to a pivot.
 #[derive(Clone, Debug)]
 pub struct Plan {
     /// Permutation of body-atom indexes, in evaluation order.
@@ -126,45 +108,32 @@ pub struct CompiledRule {
     pub head_witness: usize,
     /// Source-order indexes of delta atoms.
     pub delta_positions: Vec<usize>,
-    /// General plan (no frontier focus), run under [`Mode::Current`] /
-    /// [`Mode::FrozenBase`] — stage semantics and the naive ablation, where
-    /// delta atoms range over the actual (small) delta view.
+    /// General plan, run under [`Mode::Current`] / [`Mode::FrozenBase`] —
+    /// stage semantics and the naive ablation, where delta atoms range over
+    /// the actual (small) delta view.
     ///
     /// [`Mode::Current`]: crate::eval::Mode::Current
     /// [`Mode::FrozenBase`]: crate::eval::Mode::FrozenBase
     pub general: Plan,
     /// The general plan's sibling for [`Mode::Hypothetical`] — Algorithm
     /// 1's enumeration, where delta atoms range over the *full* relation.
-    /// Same admission semantics (everything [`DeltaClass::All`], shares
-    /// [`CompiledRule::general_classes`]); only the join order may differ,
-    /// because the cost planner sizes delta atoms at full cardinality here
-    /// and at [`crate::cost::DELTA_FRACTION`] in `general`. The textual
-    /// planner emits the identical order for both.
+    /// Same admission semantics; only the join order may differ, because
+    /// the cost planner sizes delta atoms at full cardinality here and at
+    /// [`crate::cost::DELTA_FRACTION`] in `general`. The textual planner
+    /// emits the identical order for both.
     ///
     /// [`Mode::Hypothetical`]: crate::eval::Mode::Hypothetical
     pub hypothetical: Plan,
-    /// `focused[i]` is the plan whose first atom is `delta_positions[i]`.
-    pub focused: Vec<Plan>,
-    /// Per-atom delta classes of the general plan: everything `All`.
-    pub general_classes: Vec<DeltaClass>,
-    /// `focused_classes[i]` are the per-atom delta classes when
-    /// `delta_positions[i]` is the frontier focus (earlier delta atoms
-    /// range over old deltas, the focus over the frontier, later ones over
-    /// all — the partition that makes each assignment appear exactly once).
-    pub focused_classes: Vec<Vec<DeltaClass>>,
-    /// `seeded[p]` is the plan whose first atom is body position `p`, for
-    /// *every* position — the driver of change-seeded enumeration, where
-    /// the pivot ranges over a small set of changed tuples (a mutation
-    /// batch) instead of the whole relation, regardless of whether the
-    /// atom is a delta atom.
-    pub seeded: Vec<Plan>,
-    /// `seeded_classes[p]` is the per-atom partition against the **seed**
-    /// set when position `p` is the pivot: earlier positions exclude seed
-    /// tuples, the pivot ranges over them, later positions are
-    /// unrestricted. Applies to base and delta atoms alike (on top of the
-    /// ordinary view admission), so an assignment touching `k` changed
-    /// tuples is produced exactly once, at its first changed position.
-    pub seeded_classes: Vec<Vec<DeltaClass>>,
+    /// `pivoted[p]` is the plan whose first atom is body position `p`, for
+    /// every position: the driver of semi-naive rounds (pivots at delta
+    /// positions, ranging over the previous round's new deltas) and of
+    /// change-seeded rounds (pivots anywhere, ranging over a mutation
+    /// batch). The evaluator partitions the round's atoms by their position
+    /// relative to the pivot — earlier positions exclude the distinguished
+    /// set, the pivot ranges over it, later positions are unrestricted — so
+    /// each assignment is produced exactly once, at its first distinguished
+    /// position.
+    pub pivoted: Vec<Plan>,
     /// True when a constant-only comparison is false: the rule can never
     /// fire.
     pub never_fires: bool,
@@ -352,44 +321,8 @@ pub fn compile_rule(schema: &Schema, rule: &Rule) -> CompiledRule {
         .map(|(i, _)| i)
         .collect();
     let general = make_plan(&atoms, &cmps, n_vars, None);
-    let focused: Vec<Plan> = delta_positions
-        .iter()
-        .map(|&j| make_plan(&atoms, &cmps, n_vars, Some(j)))
-        .collect();
-    let general_classes = vec![DeltaClass::All; atoms.len()];
-    let focused_classes: Vec<Vec<DeltaClass>> = delta_positions
-        .iter()
-        .map(|&focus| {
-            atoms
-                .iter()
-                .enumerate()
-                .map(|(ai, a)| {
-                    if !a.is_delta {
-                        DeltaClass::All
-                    } else if ai < focus {
-                        DeltaClass::Old
-                    } else if ai == focus {
-                        DeltaClass::New
-                    } else {
-                        DeltaClass::All
-                    }
-                })
-                .collect()
-        })
-        .collect();
-    let seeded: Vec<Plan> = (0..atoms.len())
+    let pivoted: Vec<Plan> = (0..atoms.len())
         .map(|p| make_plan(&atoms, &cmps, n_vars, Some(p)))
-        .collect();
-    let seeded_classes: Vec<Vec<DeltaClass>> = (0..atoms.len())
-        .map(|pivot| {
-            (0..atoms.len())
-                .map(|ai| match ai.cmp(&pivot) {
-                    std::cmp::Ordering::Less => DeltaClass::Old,
-                    std::cmp::Ordering::Equal => DeltaClass::New,
-                    std::cmp::Ordering::Greater => DeltaClass::All,
-                })
-                .collect()
-        })
         .collect();
     CompiledRule {
         n_vars,
@@ -399,11 +332,7 @@ pub fn compile_rule(schema: &Schema, rule: &Rule) -> CompiledRule {
         delta_positions,
         hypothetical: general.clone(),
         general,
-        focused,
-        general_classes,
-        focused_classes,
-        seeded,
-        seeded_classes,
+        pivoted,
         never_fires,
     }
 }
@@ -438,10 +367,10 @@ mod tests {
 
     #[test]
     fn focused_plan_starts_with_focus() {
+        // A semi-naive round pivots at each delta position.
         let r = compile("delta A(x) :- A(x), delta B(x, y), C(y).");
         assert_eq!(r.delta_positions, vec![1]);
-        assert_eq!(r.focused[0].order[0], 1);
-        assert_eq!(r.focused_classes[0][1], DeltaClass::New);
+        assert_eq!(r.pivoted[r.delta_positions[0]].order[0], 1);
     }
 
     #[test]
@@ -551,28 +480,14 @@ mod tests {
 
     #[test]
     fn seeded_plans_cover_every_pivot_position() {
+        // Base and delta positions alike get a plan led by their pivot.
         let r = compile("delta A(x) :- A(x), delta B(x, y), C(y).");
-        assert_eq!(r.seeded.len(), 3);
-        for (p, plan) in r.seeded.iter().enumerate() {
-            assert_eq!(plan.order[0], p, "pivot leads its seeded plan");
+        assert_eq!(r.pivoted.len(), 3);
+        for (p, plan) in r.pivoted.iter().enumerate() {
+            assert_eq!(plan.order[0], p, "pivot leads its plan");
             let mut o = plan.order.clone();
             o.sort_unstable();
             assert_eq!(o, vec![0, 1, 2]);
         }
-        assert_eq!(
-            r.seeded_classes[1],
-            vec![DeltaClass::Old, DeltaClass::New, DeltaClass::All]
-        );
-    }
-
-    #[test]
-    fn general_classes_are_all() {
-        let r = compile("delta A(x) :- A(x), delta B(x, y), delta C(y).");
-        assert!(r.general_classes.iter().all(|&c| c == DeltaClass::All));
-        // Second focus: first delta atom is Old, focus is New.
-        assert_eq!(
-            r.focused_classes[1],
-            vec![DeltaClass::All, DeltaClass::Old, DeltaClass::New]
-        );
     }
 }

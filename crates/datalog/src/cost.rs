@@ -26,11 +26,10 @@
 //! the live instance, so the chosen order (and therefore the evaluator's
 //! entire behaviour) stays deterministic.
 //!
-//! The chosen order only ever permutes atoms *within* a plan; the focus /
-//! pivot pinning of frontier and seeded plans is preserved, and the
-//! atom-indexed [`crate::compile::DeltaClass`] arrays are untouched, so
-//! the exactly-once admission argument of semi-naive and change-seeded
-//! enumeration is unaffected.
+//! The chosen order only ever permutes atoms *within* a plan, and a
+//! pivoted plan keeps its pivot first. Semi-naive and change-seeded rounds
+//! partition atoms by their body position relative to that pivot, so their
+//! exactly-once admission argument is unaffected by any reordering.
 
 use crate::ast::CmpOp;
 use crate::compile::{plan_for_order, CompiledAtom, CompiledCmp, CompiledRule, Slot};
@@ -38,7 +37,7 @@ use storage::{FxHashMap, Instance, RelId};
 
 /// Prior fraction of a relation's live rows assumed to populate a delta
 /// view when a plan ranges a delta atom under [`crate::eval::Mode::Current`]
-/// or `FrozenBase` — the general, frontier and seeded plans. Mirrors (and
+/// or `FrozenBase` — the general and pivoted plans. Mirrors (and
 /// quantifies) the static planner's "delta relations are usually small"
 /// bonus. The **hypothetical** sibling plan
 /// ([`crate::compile::CompiledRule::hypothetical`]) is estimated at
@@ -84,8 +83,7 @@ struct Search<'a> {
     atoms: &'a [CompiledAtom],
     cmps: &'a [CompiledCmp],
     /// Assumed delta-view fraction for delta atoms: [`DELTA_FRACTION`]
-    /// for frontier/seeded plans, `1.0` for general plans (hypothetical
-    /// regime).
+    /// for the general and pivoted plans, `1.0` for the hypothetical plan.
     delta_fraction: f64,
     bound: Vec<bool>,
     cmp_used: Vec<bool>,
@@ -213,7 +211,8 @@ impl Search<'_> {
 /// Estimate a *given* order without changing it — the data behind
 /// `delta-repair explain` and the W103 blow-up estimate.
 /// `delta_fraction` must match the regime the order was chosen for
-/// (`1.0` for general plans, [`DELTA_FRACTION`] for frontier/seeded).
+/// (`1.0` for the hypothetical plan, [`DELTA_FRACTION`] for the general
+/// and pivoted plans).
 pub fn estimate_order(
     db: &Instance,
     atoms: &[CompiledAtom],
@@ -247,8 +246,8 @@ pub fn estimate_order(
 
 /// Pick an atom order greedily by minimum estimated intermediate-result
 /// size (ties: smaller fan-out, then smaller body index). `first` pins the
-/// leading atom — the frontier focus or change-seed pivot — whose position
-/// the exactly-once admission partition depends on.
+/// leading atom — the pivot whose position the exactly-once admission
+/// partition depends on.
 pub fn choose_order(
     db: &Instance,
     atoms: &[CompiledAtom],
@@ -310,10 +309,9 @@ pub fn choose_order(
     OrderEstimate { order, steps, cost }
 }
 
-/// Re-derive every plan of `cr` — general, per-focus frontier, per-pivot
-/// seeded — from the instance's live statistics. Pin positions and the
-/// atom-indexed delta-class arrays are preserved, so only the join order
-/// (and the probe specs it implies) changes.
+/// Re-derive every plan of `cr` — general, hypothetical and per-pivot —
+/// from the instance's live statistics. Pivots stay pinned first, so only
+/// the join order (and the probe specs it implies) changes.
 pub fn reorder_rule(db: &Instance, cr: &mut CompiledRule) {
     // General plan: current/frozen-base regime, delta views small.
     let est = choose_order(db, &cr.atoms, &cr.cmps, cr.n_vars, None, DELTA_FRACTION);
@@ -327,20 +325,9 @@ pub fn reorder_rule(db: &Instance, cr: &mut CompiledRule) {
         let est = choose_order(db, &cr.atoms, &cr.cmps, cr.n_vars, None, 1.0);
         plan_for_order(&cr.atoms, &cr.cmps, cr.n_vars, est.order)
     };
-    for (i, &focus) in cr.delta_positions.iter().enumerate() {
-        let est = choose_order(
-            db,
-            &cr.atoms,
-            &cr.cmps,
-            cr.n_vars,
-            Some(focus),
-            DELTA_FRACTION,
-        );
-        cr.focused[i] = plan_for_order(&cr.atoms, &cr.cmps, cr.n_vars, est.order);
-    }
     for p in 0..cr.atoms.len() {
         let est = choose_order(db, &cr.atoms, &cr.cmps, cr.n_vars, Some(p), DELTA_FRACTION);
-        cr.seeded[p] = plan_for_order(&cr.atoms, &cr.cmps, cr.n_vars, est.order);
+        cr.pivoted[p] = plan_for_order(&cr.atoms, &cr.cmps, cr.n_vars, est.order);
     }
 }
 
@@ -418,21 +405,15 @@ mod tests {
             &s,
             "delta Small(x) :- Small(x), delta Big(x, k), Big(y, k).",
         );
-        let classes_before = cr.seeded_classes.clone();
         reorder_rule(&db, &mut cr);
-        for (i, &focus) in cr.delta_positions.iter().enumerate() {
-            assert_eq!(cr.focused[i].order[0], focus);
-        }
-        for (p, plan) in cr.seeded.iter().enumerate() {
+        // Admission classes are the body positions relative to the pivot,
+        // so a pinned pivot is all that keeps them intact.
+        for (p, plan) in cr.pivoted.iter().enumerate() {
             assert_eq!(plan.order[0], p);
             let mut o = plan.order.clone();
             o.sort_unstable();
             assert_eq!(o, (0..cr.atoms.len()).collect::<Vec<_>>());
         }
-        assert_eq!(
-            cr.seeded_classes, classes_before,
-            "classes are atom-indexed"
-        );
     }
 
     #[test]

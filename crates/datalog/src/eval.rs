@@ -24,7 +24,7 @@
 //! emission buffer live in an [`EvalScratch`] reused across rounds.
 
 use crate::ast::Program;
-use crate::compile::{compile_rule, CompiledAtom, CompiledRule, DeltaClass, Plan, Slot};
+use crate::compile::{compile_rule, CompiledAtom, CompiledRule, Plan, Slot};
 use crate::error::DatalogError;
 use crate::validate::validate_program;
 use storage::{BitSet, Instance, RelId, State, TupleId, Value};
@@ -65,6 +65,11 @@ impl DeltaFrontier {
         self.sets[tid.rel.idx()].set(tid.row_idx());
     }
 
+    /// Remove a tuple from the frontier.
+    pub fn remove(&mut self, tid: TupleId) {
+        self.sets[tid.rel.idx()].clear(tid.row_idx());
+    }
+
     /// Frontier membership.
     #[inline]
     pub fn contains(&self, tid: TupleId) -> bool {
@@ -83,31 +88,57 @@ impl DeltaFrontier {
             .map(move |row| TupleId::new(rel, row as u32))
     }
 
-    /// Does the frontier contain any tuple of `rel`? Lets seeded
-    /// enumeration skip pivot positions whose relation saw no change.
+    /// Does the frontier contain any tuple of `rel`? Lets pivoted rounds
+    /// skip pivot positions whose relation saw no change.
     pub fn touches(&self, rel: RelId) -> bool {
         !self.sets[rel.idx()].none()
     }
 }
 
 /// How one enumeration restricts atoms to a distinguished tuple set.
-///
-/// [`Focus::Frontier`] is the classic semi-naive round: the per-atom
-/// [`DeltaClass`]es constrain **delta atoms only**, against the previous
-/// round's newly derived tuples. [`Focus::Seed`] is the change-seeded round
-/// of incremental maintenance: the classes constrain **every** atom against
-/// the seed set (a mutation batch), on top of the ordinary view admission —
-/// the pivot ranges over the seed, earlier positions exclude it, later ones
-/// are unrestricted, so an assignment touching `k` changed tuples is
-/// produced exactly once.
 #[derive(Clone, Copy)]
 enum Focus<'a> {
-    /// No distinguished set; classes are ignored (all `All`).
+    /// No distinguished set: every atom ranges over its whole view.
     None,
-    /// Semi-naive frontier round over newly derived delta tuples.
-    Frontier(&'a DeltaFrontier),
-    /// Change-seeded round over a set of mutated EDB tuples.
-    Seed(&'a DeltaFrontier),
+    /// A pivoted round, run on the plan whose first atom is the pivot.
+    /// Each *partitioned* atom is classified by its body position relative
+    /// to the pivot: earlier positions exclude `set`, the pivot ranges over
+    /// it, later positions are unrestricted — on top of the ordinary view
+    /// admission. An assignment binding `set` tuples at several partitioned
+    /// positions is thus produced exactly once, at the first of them.
+    ///
+    /// `delta_only` partitions delta atoms only: the semi-naive round,
+    /// whose `set` is the previous round's new deltas. Base atoms must stay
+    /// unpartitioned there, because under [`Mode::FrozenBase`] they range
+    /// over the *original* relation and so do bind frontier tuples.
+    /// Otherwise every atom is partitioned: the change-seeded round, whose
+    /// `set` is a mutation batch.
+    Pivot {
+        set: &'a DeltaFrontier,
+        delta_only: bool,
+    },
+}
+
+/// Does a pivoted round with `delta_only` partition `atom`?
+#[inline]
+fn partitions(delta_only: bool, atom: &CompiledAtom) -> bool {
+    atom.is_delta || !delta_only
+}
+
+/// The pivots a round over `set` visits, in ascending body position: every
+/// partitioned position whose relation `set` touches. Any other pivot
+/// would iterate nothing, so skipping it keeps a small set's round
+/// proportional to the set, not to the rule width.
+fn pivots<'a>(
+    cr: &'a CompiledRule,
+    set: &'a DeltaFrontier,
+    delta_only: bool,
+) -> impl Iterator<Item = usize> + 'a {
+    cr.atoms
+        .iter()
+        .enumerate()
+        .filter(move |(_, a)| partitions(delta_only, a) && set.touches(a.rel))
+        .map(|(p, _)| p)
 }
 
 /// One body-atom binding of an assignment.
@@ -241,9 +272,9 @@ impl PlannedProgram {
     /// [`PlannedProgram::into_evaluator`] with an explicit planning
     /// strategy. This is the only part of evaluator construction that
     /// touches the instance: under [`PlanStrategy::CostBased`] every plan's
-    /// atom order is recomputed from live statistics (focus/pivot pins and
-    /// delta-class partitions preserved), then every probing step is bound
-    /// to a concrete composite index, built now if missing. Subsequent
+    /// atom order is recomputed from live statistics (pivots stay pinned
+    /// first), then every probing step is bound to a concrete composite
+    /// index, built now if missing. Subsequent
     /// inserts and deletes maintain both the indexes and the statistics
     /// incrementally; re-planning is only worthwhile when cardinalities
     /// drift far from their plan-time snapshot (see
@@ -273,16 +304,12 @@ impl PlannedProgram {
                 atoms,
                 general,
                 hypothetical,
-                focused,
-                seeded,
+                pivoted,
                 ..
             } = cr;
             resolve(db, atoms, general);
             resolve(db, atoms, hypothetical);
-            for plan in focused {
-                resolve(db, atoms, plan);
-            }
-            for plan in seeded {
+            for plan in pivoted {
                 resolve(db, atoms, plan);
             }
         }
@@ -439,18 +466,7 @@ impl Evaluator {
             Mode::Hypothetical => &cr.hypothetical,
             Mode::Current | Mode::FrozenBase => &cr.general,
         };
-        run_plan(
-            db,
-            state,
-            mode,
-            rule_idx,
-            cr,
-            plan,
-            &cr.general_classes,
-            Focus::None,
-            scratch,
-            f,
-        )
+        run_plan(db, state, mode, rule_idx, cr, plan, Focus::None, scratch, f)
     }
 
     /// Enumerate, for rules **without** delta atoms in the body, every
@@ -488,9 +504,10 @@ impl Evaluator {
     /// delta tuple from `frontier`.
     ///
     /// `state`'s delta sets must already include the frontier. Assignments
-    /// are partitioned by the *first* body position holding a frontier tuple
-    /// (earlier delta atoms range over old deltas, later ones over all), so
-    /// each assignment is produced exactly once across all rounds.
+    /// are partitioned by the *first delta* position holding a frontier
+    /// tuple (earlier delta atoms range over old deltas, later ones over
+    /// all; base atoms are not partitioned), so each assignment is produced
+    /// exactly once across all rounds. This holds in every [`Mode`].
     pub fn for_each_frontier_assignment(
         &self,
         db: &Instance,
@@ -519,14 +536,7 @@ impl Evaluator {
         scratch: &mut EvalScratch,
         f: &mut dyn FnMut(&Assignment) -> bool,
     ) -> bool {
-        for idx in 0..self.compiled.len() {
-            if !self
-                .for_each_rule_frontier_assignment_with(idx, db, state, mode, frontier, scratch, f)
-            {
-                return false;
-            }
-        }
-        true
+        self.for_each_pivoted_with(db, state, mode, frontier, true, scratch, f)
     }
 
     /// Semi-naive round restricted to one rule: every assignment of
@@ -565,27 +575,7 @@ impl Evaluator {
         scratch: &mut EvalScratch,
         f: &mut dyn FnMut(&Assignment) -> bool,
     ) -> bool {
-        let cr = &self.compiled[rule_idx];
-        if cr.never_fires {
-            return true;
-        }
-        for fi in 0..cr.delta_positions.len() {
-            if !run_plan(
-                db,
-                state,
-                mode,
-                rule_idx,
-                cr,
-                &cr.focused[fi],
-                &cr.focused_classes[fi],
-                Focus::Frontier(frontier),
-                scratch,
-                f,
-            ) {
-                return false;
-            }
-        }
-        true
+        self.for_each_rule_pivoted_with(rule_idx, db, state, mode, frontier, true, scratch, f)
     }
 
     /// Change-seeded round: enumerate every assignment of every rule that
@@ -620,12 +610,7 @@ impl Evaluator {
         scratch: &mut EvalScratch,
         f: &mut dyn FnMut(&Assignment) -> bool,
     ) -> bool {
-        for idx in 0..self.compiled.len() {
-            if !self.for_each_rule_seeded_assignment_with(idx, db, state, mode, seed, scratch, f) {
-                return false;
-            }
-        }
-        true
+        self.for_each_pivoted_with(db, state, mode, seed, false, scratch, f)
     }
 
     /// Change-seeded round restricted to one rule: every assignment of
@@ -641,33 +626,49 @@ impl Evaluator {
         scratch: &mut EvalScratch,
         f: &mut dyn FnMut(&Assignment) -> bool,
     ) -> bool {
+        self.for_each_rule_pivoted_with(rule_idx, db, state, mode, seed, false, scratch, f)
+    }
+
+    /// Every rule's pivoted round over `set`; see [`Focus::Pivot`].
+    #[allow(clippy::too_many_arguments)]
+    fn for_each_pivoted_with(
+        &self,
+        db: &Instance,
+        state: &State,
+        mode: Mode,
+        set: &DeltaFrontier,
+        delta_only: bool,
+        scratch: &mut EvalScratch,
+        f: &mut dyn FnMut(&Assignment) -> bool,
+    ) -> bool {
+        (0..self.compiled.len()).all(|idx| {
+            self.for_each_rule_pivoted_with(idx, db, state, mode, set, delta_only, scratch, f)
+        })
+    }
+
+    /// One rule's pivoted round over `set`: each pivot plan in ascending
+    /// pivot position. See [`Focus::Pivot`].
+    #[allow(clippy::too_many_arguments)]
+    fn for_each_rule_pivoted_with(
+        &self,
+        rule_idx: usize,
+        db: &Instance,
+        state: &State,
+        mode: Mode,
+        set: &DeltaFrontier,
+        delta_only: bool,
+        scratch: &mut EvalScratch,
+        f: &mut dyn FnMut(&Assignment) -> bool,
+    ) -> bool {
         let cr = &self.compiled[rule_idx];
         if cr.never_fires {
             return true;
         }
-        for p in 0..cr.atoms.len() {
-            // A pivot only yields assignments when the seed touches its
-            // relation; skipping it keeps a small batch's round proportional
-            // to the batch, not to the rule width.
-            if !seed.touches(cr.atoms[p].rel) {
-                continue;
-            }
-            if !run_plan(
-                db,
-                state,
-                mode,
-                rule_idx,
-                cr,
-                &cr.seeded[p],
-                &cr.seeded_classes[p],
-                Focus::Seed(seed),
-                scratch,
-                f,
-            ) {
-                return false;
-            }
-        }
-        true
+        let focus = Focus::Pivot { set, delta_only };
+        pivots(cr, set, delta_only).all(|p| {
+            let plan = &cr.pivoted[p];
+            run_plan(db, state, mode, rule_idx, cr, plan, focus, scratch, f)
+        })
     }
 
     /// Does the rule's body contain a delta atom over `rel`? (Trigger
@@ -721,7 +722,7 @@ impl Evaluator {
 #[cfg(feature = "parallel")]
 mod par {
     use super::{
-        run_plan_rows, Assignment, CompiledRule, DeltaClass, DeltaFrontier, EvalScratch, Evaluator,
+        pivots, run_plan_rows, Assignment, CompiledRule, DeltaFrontier, EvalScratch, Evaluator,
         Focus, Mode, Plan, Slot, Value,
     };
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -739,6 +740,17 @@ mod par {
         Frontier(&'f DeltaFrontier),
         /// Change-seeded round of incremental maintenance.
         Seeded(&'f DeltaFrontier),
+    }
+
+    impl<'f> Scope<'f> {
+        /// The distinguished set and `delta_only` flag of a pivoted round.
+        fn pivot_set(self) -> Option<(&'f DeltaFrontier, bool)> {
+            match self {
+                Scope::All | Scope::BaseRules => None,
+                Scope::Frontier(set) => Some((set, true)),
+                Scope::Seeded(set) => Some((set, false)),
+            }
+        }
     }
 
     /// Worker threads the parallel paths use by default:
@@ -781,18 +793,17 @@ mod par {
         })
     }
 
-    /// One plan execution of a round: the plan, its delta classes and
-    /// focus, plus the materialized driver domain its first step iterates.
+    /// One plan execution of a round: the plan and its focus, plus the
+    /// materialized driver domain its first step iterates.
     struct PlanJob<'e, 'f> {
         rule_idx: usize,
         plan: &'e Plan,
-        classes: &'e [DeltaClass],
         focus: Focus<'f>,
         /// Candidate rows of step 0, in the serial iteration order. The
         /// per-row admission/key checks still run inside the join; this is
         /// the raw iteration source, sliced into morsels.
         rows: Vec<u32>,
-        /// Does step 0 need the key-as-filter check (delta/seed paths)?
+        /// Does step 0 need the key-as-filter check (delta/pivot paths)?
         check_key: bool,
     }
 
@@ -813,28 +824,17 @@ mod par {
         mode: Mode,
         cr: &CompiledRule,
         plan: &Plan,
-        classes: &[DeltaClass],
         focus: Focus<'_>,
     ) -> (Vec<u32>, bool) {
-        let ai = plan.order[0];
-        let atom = &cr.atoms[ai];
-        let class = classes[ai];
+        let atom = &cr.atoms[plan.order[0]];
         let spec = &plan.probes[0];
         let rel = db.relation(atom.rel);
-        if let Focus::Seed(seed) = focus {
-            if class == DeltaClass::New {
-                // Seeded pivot: generate from the seed set directly.
-                return (seed.rows(atom.rel).map(|t| t.row).collect(), true);
-            }
+        if let Focus::Pivot { set, .. } = focus {
+            // The pivot generates from the distinguished set directly.
+            return (set.rows(atom.rel).map(|t| t.row).collect(), true);
         }
         if atom.is_delta && mode != Mode::Hypothetical {
-            let rows = match (class, focus) {
-                (DeltaClass::New, Focus::Frontier(fr)) => {
-                    fr.rows(atom.rel).map(|t| t.row).collect()
-                }
-                _ => state.delta_rows(atom.rel).map(|t| t.row).collect(),
-            };
-            return (rows, true);
+            return (state.delta_rows(atom.rel).map(|t| t.row).collect(), true);
         }
         if spec.is_probe() {
             // Step-0 probe keys are constants by construction (no variable
@@ -868,15 +868,13 @@ mod par {
             let mut jobs: Vec<PlanJob<'e, 'f>> = Vec::new();
             let push = |rule_idx: usize,
                         plan: &'e Plan,
-                        classes: &'e [DeltaClass],
                         focus: Focus<'f>,
                         jobs: &mut Vec<PlanJob<'e, 'f>>| {
                 let cr = &self.compiled[rule_idx];
-                let (rows, check_key) = step0_domain(db, state, mode, cr, plan, classes, focus);
+                let (rows, check_key) = step0_domain(db, state, mode, cr, plan, focus);
                 jobs.push(PlanJob {
                     rule_idx,
                     plan,
-                    classes,
                     focus,
                     rows,
                     check_key,
@@ -886,52 +884,20 @@ mod par {
                 if cr.never_fires {
                     continue;
                 }
-                match scope {
-                    Scope::All => {
-                        // Same mode-based plan selection as the serial
-                        // path (for_each_rule_assignment_with).
-                        let plan = match mode {
-                            Mode::Hypothetical => &cr.hypothetical,
-                            Mode::Current | Mode::FrozenBase => &cr.general,
-                        };
-                        push(idx, plan, &cr.general_classes, Focus::None, &mut jobs);
+                // Same plan selection as the serial path: pivot plans in
+                // for_each_rule_pivoted_with, mode-based otherwise in
+                // for_each_rule_assignment_with.
+                if let Some((set, delta_only)) = scope.pivot_set() {
+                    let focus = Focus::Pivot { set, delta_only };
+                    for p in pivots(cr, set, delta_only) {
+                        push(idx, &cr.pivoted[p], focus, &mut jobs);
                     }
-                    Scope::BaseRules => {
-                        if cr.delta_positions.is_empty() {
-                            push(
-                                idx,
-                                &cr.general,
-                                &cr.general_classes,
-                                Focus::None,
-                                &mut jobs,
-                            );
-                        }
-                    }
-                    Scope::Frontier(fr) => {
-                        for fi in 0..cr.delta_positions.len() {
-                            push(
-                                idx,
-                                &cr.focused[fi],
-                                &cr.focused_classes[fi],
-                                Focus::Frontier(fr),
-                                &mut jobs,
-                            );
-                        }
-                    }
-                    Scope::Seeded(seed) => {
-                        for p in 0..cr.atoms.len() {
-                            if !seed.touches(cr.atoms[p].rel) {
-                                continue;
-                            }
-                            push(
-                                idx,
-                                &cr.seeded[p],
-                                &cr.seeded_classes[p],
-                                Focus::Seed(seed),
-                                &mut jobs,
-                            );
-                        }
-                    }
+                } else if matches!(scope, Scope::All) || cr.delta_positions.is_empty() {
+                    let plan = match mode {
+                        Mode::Hypothetical => &cr.hypothetical,
+                        Mode::Current | Mode::FrozenBase => &cr.general,
+                    };
+                    push(idx, plan, Focus::None, &mut jobs);
                 }
             }
             jobs
@@ -1081,7 +1047,6 @@ mod par {
                 job.rule_idx,
                 cr,
                 job.plan,
-                job.classes,
                 job.focus,
                 &job.rows[start..end],
                 job.check_key,
@@ -1107,51 +1072,26 @@ mod par {
                 true
             };
             for idx in 0..self.num_rules() {
-                match scope {
-                    Scope::All => {
-                        self.for_each_rule_assignment_with(
-                            idx,
-                            db,
-                            state,
-                            mode,
-                            &mut scratch,
-                            &mut push,
-                        );
-                    }
-                    Scope::BaseRules => {
-                        if !self.rule_has_delta_body(idx) {
-                            self.for_each_rule_assignment_with(
-                                idx,
-                                db,
-                                state,
-                                mode,
-                                &mut scratch,
-                                &mut push,
-                            );
-                        }
-                    }
-                    Scope::Frontier(fr) => {
-                        self.for_each_rule_frontier_assignment_with(
-                            idx,
-                            db,
-                            state,
-                            mode,
-                            fr,
-                            &mut scratch,
-                            &mut push,
-                        );
-                    }
-                    Scope::Seeded(seed) => {
-                        self.for_each_rule_seeded_assignment_with(
-                            idx,
-                            db,
-                            state,
-                            mode,
-                            seed,
-                            &mut scratch,
-                            &mut push,
-                        );
-                    }
+                if let Some((set, delta_only)) = scope.pivot_set() {
+                    self.for_each_rule_pivoted_with(
+                        idx,
+                        db,
+                        state,
+                        mode,
+                        set,
+                        delta_only,
+                        &mut scratch,
+                        &mut push,
+                    );
+                } else if matches!(scope, Scope::All) || !self.rule_has_delta_body(idx) {
+                    self.for_each_rule_assignment_with(
+                        idx,
+                        db,
+                        state,
+                        mode,
+                        &mut scratch,
+                        &mut push,
+                    );
                 }
             }
         }
@@ -1161,43 +1101,35 @@ mod par {
 #[cfg(feature = "parallel")]
 pub use par::{eval_threads, morsel_rows, Scope as ParScope};
 
+/// May body atom `ai` of a plan pivoted at `pivot` bind `tid`? The focus
+/// partition first (see [`Focus::Pivot`]), then the ordinary view
+/// admission of `mode`.
 #[inline]
 fn admitted(
     state: &State,
     mode: Mode,
     focus: Focus<'_>,
     atom: &CompiledAtom,
-    class: DeltaClass,
+    ai: usize,
+    pivot: usize,
     tid: TupleId,
 ) -> bool {
-    // Under a seed focus the class partitions *every* atom against the seed
-    // set; the ordinary view admission then applies unrestricted.
-    if let Focus::Seed(seed) = focus {
-        match class {
-            DeltaClass::New => {
-                if !seed.contains(tid) {
-                    return false;
-                }
+    if let Focus::Pivot { set, delta_only } = focus {
+        if partitions(delta_only, atom) {
+            let ok = match ai.cmp(&pivot) {
+                std::cmp::Ordering::Less => !set.contains(tid),
+                std::cmp::Ordering::Equal => set.contains(tid),
+                std::cmp::Ordering::Greater => true,
+            };
+            if !ok {
+                return false;
             }
-            DeltaClass::Old => {
-                if seed.contains(tid) {
-                    return false;
-                }
-            }
-            DeltaClass::All => {}
         }
     }
     if atom.is_delta {
         match mode {
             Mode::Hypothetical => true,
-            Mode::Current | Mode::FrozenBase => match focus {
-                Focus::Frontier(fr) => match class {
-                    DeltaClass::All => state.in_delta(tid),
-                    DeltaClass::New => fr.contains(tid),
-                    DeltaClass::Old => state.in_delta(tid) && !fr.contains(tid),
-                },
-                Focus::None | Focus::Seed(_) => state.in_delta(tid),
-            },
+            Mode::Current | Mode::FrozenBase => state.in_delta(tid),
         }
     } else {
         match mode {
@@ -1217,7 +1149,6 @@ fn run_plan(
     rule_idx: usize,
     cr: &CompiledRule,
     plan: &Plan,
-    classes: &[DeltaClass],
     focus: Focus<'_>,
     scratch: &mut EvalScratch,
     f: &mut dyn FnMut(&Assignment) -> bool,
@@ -1227,16 +1158,14 @@ fn run_plan(
     scratch.chosen.clear();
     scratch.chosen.resize(cr.atoms.len(), DUMMY_TID);
     scratch.key.clear();
-    step(
-        db, state, mode, rule_idx, cr, plan, classes, focus, 0, scratch, f,
-    )
+    step(db, state, mode, rule_idx, cr, plan, focus, 0, scratch, f)
 }
 
 /// [`run_plan`] restricted to an explicit slice of step-0 candidate rows —
 /// the morsel entry point of the parallel scheduler. `rows` is a contiguous
 /// slice of the plan's driver domain (see `par::step0_domain`), in the same
 /// ascending order the serial step-0 iteration would visit; `check_key`
-/// mirrors the serial path's choice of key-as-filter (delta/seed sources)
+/// mirrors the serial path's choice of key-as-filter (delta/pivot sources)
 /// vs. key-guaranteed-by-index (probe sources). Per-row admission, key,
 /// equality and comparison checks all run inside [`try_row`] exactly as in
 /// the serial join, so concatenating morsel outputs in domain order
@@ -1250,7 +1179,6 @@ fn run_plan_rows(
     rule_idx: usize,
     cr: &CompiledRule,
     plan: &Plan,
-    classes: &[DeltaClass],
     focus: Focus<'_>,
     rows: &[u32],
     check_key: bool,
@@ -1271,7 +1199,7 @@ fn run_plan_rows(
     }
     for &row in rows {
         if !try_row(
-            db, state, mode, rule_idx, cr, plan, classes, focus, 0, row, 0, check_key, scratch, f,
+            db, state, mode, rule_idx, cr, plan, focus, 0, row, 0, check_key, scratch, f,
         ) {
             return false;
         }
@@ -1292,7 +1220,6 @@ fn try_row(
     rule_idx: usize,
     cr: &CompiledRule,
     plan: &Plan,
-    classes: &[DeltaClass],
     focus: Focus<'_>,
     k: usize,
     row: u32,
@@ -1304,7 +1231,7 @@ fn try_row(
     let ai = plan.order[k];
     let atom = &cr.atoms[ai];
     let tid = TupleId::new(atom.rel, row);
-    if !admitted(state, mode, focus, atom, classes[ai], tid) {
+    if !admitted(state, mode, focus, atom, ai, plan.order[0], tid) {
         return true;
     }
     let tuple = db.relation(atom.rel).tuple(row);
@@ -1347,7 +1274,6 @@ fn try_row(
         rule_idx,
         cr,
         plan,
-        classes,
         focus,
         k + 1,
         scratch,
@@ -1365,7 +1291,6 @@ fn step(
     rule_idx: usize,
     cr: &CompiledRule,
     plan: &Plan,
-    classes: &[DeltaClass],
     focus: Focus<'_>,
     k: usize,
     scratch: &mut EvalScratch,
@@ -1385,9 +1310,7 @@ fn step(
         }
         return f(&scratch.asg);
     }
-    let ai = plan.order[k];
-    let atom = &cr.atoms[ai];
-    let class = classes[ai];
+    let atom = &cr.atoms[plan.order[k]];
     let spec = &plan.probes[k];
     let rel = db.relation(atom.rel);
 
@@ -1405,8 +1328,8 @@ fn step(
     macro_rules! visit {
         ($row:expr, $check_key:expr) => {
             if !try_row(
-                db, state, mode, rule_idx, cr, plan, classes, focus, k, $row, key_start,
-                $check_key, scratch, f,
+                db, state, mode, rule_idx, cr, plan, focus, k, $row, key_start, $check_key,
+                scratch, f,
             ) {
                 scratch.key.truncate(key_start);
                 return false;
@@ -1419,30 +1342,18 @@ fn step(
     // same order) for the morsel scheduler. Any change to which rows a
     // first step iterates must be applied to both; the engine-parity and
     // differential suites pin the equivalence.
-    let seed_pivot = matches!(focus, Focus::Seed(_)) && class == DeltaClass::New;
-    if seed_pivot {
-        // The pivot of a change-seeded plan generates from the (small) seed
-        // set directly, whatever the atom's flavor; the key becomes a
-        // per-row filter and `admitted` supplies the view membership.
-        if let Focus::Seed(seed) = focus {
-            for tid in seed.rows(atom.rel) {
-                visit!(tid.row, true);
-            }
+    if let (Focus::Pivot { set, .. }, 0) = (focus, k) {
+        // The pivot generates from the (small) distinguished set directly,
+        // whatever the atom's flavor; the key becomes a per-row filter and
+        // `admitted` supplies the view membership.
+        for tid in set.rows(atom.rel) {
+            visit!(tid.row, true);
         }
     } else if atom.is_delta && mode != Mode::Hypothetical {
         // Delta sets are usually small: iterate them directly, using the
         // key as a per-row filter.
-        match (class, focus) {
-            (DeltaClass::New, Focus::Frontier(fr)) => {
-                for tid in fr.rows(atom.rel) {
-                    visit!(tid.row, true);
-                }
-            }
-            _ => {
-                for tid in state.delta_rows(atom.rel) {
-                    visit!(tid.row, true);
-                }
-            }
+        for tid in state.delta_rows(atom.rel) {
+            visit!(tid.row, true);
         }
     } else if spec.is_probe() {
         // Composite-index probe on every bound column: candidates already
@@ -1631,6 +1542,37 @@ mod tests {
         assert!(seen.iter().all(|a| a.rule == 2 || a.rule == 3));
         let unique: std::collections::HashSet<_> = seen.iter().cloned().collect();
         assert_eq!(unique.len(), 4, "no duplicates");
+    }
+
+    #[test]
+    fn frontier_partition_holds_in_hypothetical_mode() {
+        // Hypothetical mode admits every tuple at a delta atom, but a
+        // frontier round must still yield only the assignments binding a
+        // frontier tuple at a delta position, each once.
+        let mut s = Schema::new();
+        s.relation("A", &[("x", AttrType::Int)]);
+        s.relation("B", &[("x", AttrType::Int)]);
+        let mut db = Instance::new(s);
+        let mut b0 = None;
+        for i in 0..3 {
+            db.insert_values("A", [Value::Int(i)]).unwrap();
+            let b = db.insert_values("B", [Value::Int(i)]).unwrap();
+            b0.get_or_insert(b);
+        }
+        let p = parse_program("delta A(x) :- A(x), delta A(x), delta B(x).").unwrap();
+        let ev = Evaluator::new(&mut db, p).unwrap();
+        let mut state = db.initial_state();
+        let b0 = b0.unwrap();
+        state.mark_delta(b0);
+        let mut frontier = DeltaFrontier::empty(&db);
+        frontier.insert(b0);
+        let mut seen = Vec::new();
+        ev.for_each_frontier_assignment(&db, &state, Mode::Hypothetical, &frontier, &mut |a| {
+            seen.push(a.clone());
+            true
+        });
+        assert_eq!(seen.len(), 1);
+        assert_eq!(seen[0].body[2].tid, b0);
     }
 
     #[test]

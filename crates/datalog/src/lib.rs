@@ -47,7 +47,8 @@ pub use eval::{
     Assignment, BodyBind, DeltaFrontier, EvalScratch, Evaluator, Mode, PlanStrategy, PlannedProgram,
 };
 pub use lint::{
-    certify, lint, lint_with_stats, Diagnostic, EquivalenceCertificate, LintReport, Severity,
+    certify, json_escape, lint, lint_with_stats, Diagnostic, EquivalenceCertificate, LintReport,
+    Severity,
 };
 pub use parser::{parse_body, parse_program};
 pub use seed::{seed_rule, with_interventions};

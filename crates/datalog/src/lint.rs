@@ -218,7 +218,10 @@ impl LintReport {
     }
 }
 
-fn json_escape(s: &str) -> String {
+/// Escape `s` for a JSON string literal. The workspace has no serde
+/// dependency; this is the one escaper the hand-rolled JSON renderers
+/// (`lint --json`, `explain --json`) share.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for ch in s.chars() {
         match ch {

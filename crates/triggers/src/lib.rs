@@ -150,12 +150,14 @@ fn cascade(
     queue: &mut VecDeque<TupleId>,
     activations: &mut usize,
 ) {
+    // One frontier for the whole cascade, holding exactly the row being
+    // reacted to: set before each trigger fires, cleared right after.
+    let mut frontier = DeltaFrontier::empty(db);
     while let Some(row) = queue.pop_front() {
         for trig in reactive {
             if !ev.rule_listens_to(trig.rule, row.rel) {
                 continue;
             }
-            let mut frontier = DeltaFrontier::empty(db);
             frontier.insert(row);
             let mut heads: Vec<TupleId> = Vec::new();
             ev.for_each_rule_frontier_assignment(
@@ -171,6 +173,7 @@ fn cascade(
                     true
                 },
             );
+            frontier.remove(row);
             if heads.is_empty() {
                 continue;
             }

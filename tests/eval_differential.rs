@@ -17,9 +17,17 @@
 //! comparison scheduling must only *skip* non-matching candidates, never
 //! reorder or duplicate survivors; enumeration order is ascending row
 //! order at every plan step regardless of access path.
+//!
+//! The pivoted rounds are checked against their definitions instead: a
+//! semi-naive round over a frontier `F ⊆ Δ` must yield exactly the general
+//! assignments binding an `F` tuple at some *delta* position, and a
+//! change-seeded round over a seed `S` exactly those binding an `S` tuple
+//! at *any* position — each once, in every mode.
 
 use delta_repairs::datalog::compile::{CompiledRule, Slot};
-use delta_repairs::datalog::{parse_program, Assignment, BodyBind, Evaluator, Mode, Program};
+use delta_repairs::datalog::{
+    parse_program, Assignment, BodyBind, DeltaFrontier, Evaluator, Mode, Program,
+};
 use delta_repairs::{AttrType, Instance, Schema, State, TupleId, Value};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -358,12 +366,71 @@ fn engine_assignments(ev: &Evaluator, db: &Instance, state: &State, mode: Mode) 
     out
 }
 
+fn frontier_round(
+    ev: &Evaluator,
+    db: &Instance,
+    state: &State,
+    mode: Mode,
+    frontier: &DeltaFrontier,
+) -> Vec<Assignment> {
+    let mut out = Vec::new();
+    ev.for_each_frontier_assignment(db, state, mode, frontier, &mut |a| {
+        out.push(a.clone());
+        true
+    });
+    out
+}
+
+fn seeded_round(
+    ev: &Evaluator,
+    db: &Instance,
+    state: &State,
+    mode: Mode,
+    seed: &DeltaFrontier,
+) -> Vec<Assignment> {
+    let mut out = Vec::new();
+    ev.for_each_seeded_assignment(db, state, mode, seed, &mut |a| {
+        out.push(a.clone());
+        true
+    });
+    out
+}
+
+/// The tuples of `pool` whose draw in `bits` is set.
+fn tuple_set(db: &Instance, pool: impl Iterator<Item = TupleId>, bits: &[bool]) -> DeltaFrontier {
+    let mut set = DeltaFrontier::empty(db);
+    for (tid, &keep) in pool.zip(bits) {
+        if keep {
+            set.insert(tid);
+        }
+    }
+    set
+}
+
+/// Assignments as a sorted multiset of `(rule, body tuples)`; the head and
+/// the delta flags follow from those two.
+fn multiset(v: &[Assignment]) -> Vec<(usize, Vec<TupleId>)> {
+    let mut keys: Vec<(usize, Vec<TupleId>)> = v
+        .iter()
+        .map(|a| (a.rule, a.body.iter().map(|b| b.tid).collect()))
+        .collect();
+    keys.sort();
+    keys
+}
+
 // ---------------------------------------------------------------------------
 // Properties.
 // ---------------------------------------------------------------------------
 
 static TOTAL_ASSIGNMENTS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
 static CASES_RUN: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+/// Frontier-round and seeded-round assignments seen by the pivoted-round
+/// property, in that order.
+static PIVOTED_ASSIGNMENTS: [std::sync::atomic::AtomicUsize; 2] = [
+    std::sync::atomic::AtomicUsize::new(0),
+    std::sync::atomic::AtomicUsize::new(0),
+];
+static PIVOTED_CASES_RUN: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(120))]
@@ -458,9 +525,75 @@ proptest! {
     }
 }
 
+proptest! {
+    // Frontier rounds need delta atoms, a populated Δ and a frontier inside
+    // it to fire, so this property draws a full-length state and runs more
+    // cases than the stream differential.
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    /// Pivoted rounds against their definitions, in every mode, with the
+    /// naive reference's general stream as the ground truth. A random
+    /// frontier `F ⊆ Δ`: the frontier round is the multiset of general
+    /// assignments binding an `F` tuple at some delta position, each once.
+    /// A random seed `S` of live tuples: the seeded round is the multiset
+    /// of general assignments binding an `S` tuple at any position, each
+    /// once.
+    #[test]
+    fn pivoted_rounds_match_their_definitions(
+        program in arb_program(),
+        tuples in arb_tuples(),
+        state_ops in prop::collection::vec(0u64..4, 26),
+        frontier_bits in prop::collection::vec(any::<bool>(), 26),
+        seed_bits in prop::collection::vec(any::<bool>(), 26),
+    ) {
+        let mut db = build_instance(&tuples);
+        let ev = Evaluator::new(&mut db, program).expect("valid by construction");
+        let state = build_state(&db, &state_ops);
+        let deltas = db.all_tuple_ids().filter(|&t| state.in_delta(t));
+        let frontier = tuple_set(&db, deltas, &frontier_bits);
+        let seed = tuple_set(&db, db.all_tuple_ids(), &seed_bits);
+        for mode in [Mode::Current, Mode::FrozenBase, Mode::Hypothetical] {
+            let general = reference_assignments(&db, &state, mode, &ev);
+            let binding = |keep: &dyn Fn(&BodyBind) -> bool| -> Vec<Assignment> {
+                general
+                    .iter()
+                    .filter(|a| a.body.iter().any(keep))
+                    .cloned()
+                    .collect()
+            };
+            let got = frontier_round(&ev, &db, &state, mode, &frontier);
+            PIVOTED_ASSIGNMENTS[0].fetch_add(got.len(), std::sync::atomic::Ordering::Relaxed);
+            prop_assert_eq!(
+                multiset(&got),
+                multiset(&binding(&|b| b.is_delta && frontier.contains(b.tid))),
+                "frontier round under {:?}", mode
+            );
+            let got = seeded_round(&ev, &db, &state, mode, &seed);
+            PIVOTED_ASSIGNMENTS[1].fetch_add(got.len(), std::sync::atomic::Ordering::Relaxed);
+            prop_assert_eq!(
+                multiset(&got),
+                multiset(&binding(&|b| seed.contains(b.tid))),
+                "seeded round under {:?}", mode
+            );
+        }
+        let cases = PIVOTED_CASES_RUN.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
+        if cases == 400 {
+            let [frontier, seeded] =
+                PIVOTED_ASSIGNMENTS.each_ref().map(|n| n.load(std::sync::atomic::Ordering::Relaxed));
+            prop_assert!(
+                frontier > 200 && seeded > 800,
+                "pivoted-round property is near-vacuous: {frontier} frontier and {seeded} \
+                 seeded assignments in {cases} cases"
+            );
+        }
+    }
+}
+
 // The morsel-parallel collector must reproduce the serial callback stream
 // — order included — at every thread count, under every mode, on the same
-// randomized programs/instances/states as the serial differential above.
+// randomized programs/instances/states as the serial differential above:
+// for whole rounds, and for frontier and seeded rounds, whose pivot step
+// takes the pivot branch of the source ladder `par::step0_domain` mirrors.
 #[cfg(feature = "parallel")]
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(60))]
@@ -471,10 +604,16 @@ proptest! {
         tuples in arb_tuples(),
         state_ops in prop::collection::vec(0u64..4, 0..26),
         threads in 2usize..=8,
+        frontier_bits in prop::collection::vec(any::<bool>(), 26),
+        seed_bits in prop::collection::vec(any::<bool>(), 26),
     ) {
+        use delta_repairs::datalog::ParScope;
         let mut db = build_instance(&tuples);
         let ev = Evaluator::new(&mut db, program).expect("valid by construction");
         let state = build_state(&db, &state_ops);
+        let deltas = db.all_tuple_ids().filter(|&t| state.in_delta(t));
+        let frontier = tuple_set(&db, deltas, &frontier_bits);
+        let seed = tuple_set(&db, db.all_tuple_ids(), &seed_bits);
         for mode in [Mode::Current, Mode::FrozenBase, Mode::Hypothetical] {
             let serial = engine_assignments(&ev, &db, &state, mode);
             let par = ev.par_collect(
@@ -487,6 +626,16 @@ proptest! {
             prop_assert_eq!(
                 &par, &serial,
                 "parallel stream diverged under {:?} at {} threads", mode, threads
+            );
+            prop_assert_eq!(
+                ev.par_collect(&db, &state, mode, ParScope::Frontier(&frontier), threads),
+                frontier_round(&ev, &db, &state, mode, &frontier),
+                "parallel frontier round diverged under {:?} at {} threads", mode, threads
+            );
+            prop_assert_eq!(
+                ev.par_collect(&db, &state, mode, ParScope::Seeded(&seed), threads),
+                seeded_round(&ev, &db, &state, mode, &seed),
+                "parallel seeded round diverged under {:?} at {} threads", mode, threads
             );
         }
     }

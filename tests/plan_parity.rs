@@ -8,7 +8,7 @@
 //!
 //! The delete-set order matters too: every semantics sorts its answer, so
 //! comparing full vectors also pins determinism across plan families
-//! (main, delta-classed and change-seeded plans all reorder independently).
+//! (general, hypothetical and pivoted plans all reorder independently).
 
 use delta_repairs::datagen::{mas, scale, tpch, MasConfig, ScaleConfig, TpchConfig};
 use delta_repairs::datalog::Evaluator;
