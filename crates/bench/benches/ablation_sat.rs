@@ -12,12 +12,10 @@
 use bench::{session_for, MasLab};
 use criterion::{criterion_group, criterion_main, Criterion};
 use datalog::Mode;
-use provenance::ProvFormula;
-use sat::{solve_min_ones, Cnf, Lit, MinOnesOptions};
-use std::collections::HashMap;
+use provenance::ProvFormulaBuilder;
+use sat::{solve_min_ones, Cnf, MinOnesOptions};
 use std::hint::black_box;
 use std::time::Duration;
-use storage::TupleId;
 
 /// Reproduce phases 1–2 of Algorithm 1: the CNF for a workload.
 fn cnf_for(lab: &MasLab, name: &str) -> Cnf {
@@ -29,29 +27,14 @@ fn cnf_for(lab: &MasLab, name: &str) -> Cnf {
     let session = session_for(&lab.data.db, w);
     let db = session.db();
     let state = db.initial_state();
-    let mut assignments = Vec::new();
+    let mut builder = ProvFormulaBuilder::new();
     session
         .evaluator()
         .for_each_assignment(db, &state, Mode::Hypothetical, &mut |a| {
-            assignments.push(a.clone());
+            builder.add(a);
             true
         });
-    let formula = ProvFormula::from_assignments(assignments.iter());
-    let universe = formula.tuple_universe();
-    let var_of: HashMap<TupleId, u32> = universe
-        .iter()
-        .enumerate()
-        .map(|(i, &t)| (t, i as u32))
-        .collect();
-    let mut cnf = Cnf::new(universe.len());
-    let mut lits = Vec::new();
-    for clause in formula.clauses() {
-        lits.clear();
-        lits.extend(clause.pos.iter().map(|t| Lit::pos(var_of[t])));
-        lits.extend(clause.neg.iter().map(|t| Lit::neg(var_of[t])));
-        cnf.add_clause(&lits);
-    }
-    cnf
+    builder.finish().negated_cnf()
 }
 
 fn bench_sat_ablation(c: &mut Criterion) {

@@ -5,7 +5,7 @@
 //! regime) and a cascade program (mas-20, Figure 8c/8d's regime):
 //!
 //! * Algorithm 1: `eval` (hypothetical assignment enumeration) alone, then
-//!   eval + formula construction, then the full run (+ SAT solve);
+//!   eval + formula construction + negation into the CNF, then the full run (+ SAT solve);
 //! * Algorithm 2: `eval` (end-semantics provenance) alone, then + graph
 //!   construction, then the full greedy run.
 //!
@@ -14,7 +14,7 @@
 use bench::{session_for, MasLab};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use datalog::Mode;
-use provenance::{ProvFormula, ProvGraph};
+use provenance::{ProvFormulaBuilder, ProvGraph};
 use repair_core::{end, independent, step};
 use sat::MinOnesOptions;
 use std::hint::black_box;
@@ -51,12 +51,12 @@ fn bench_breakdown(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("alg1_eval_process", name), |b| {
             b.iter(|| {
                 let state = db.initial_state();
-                let mut assignments = Vec::new();
+                let mut builder = ProvFormulaBuilder::new();
                 ev.for_each_assignment(db, &state, Mode::Hypothetical, &mut |a| {
-                    assignments.push(a.clone());
+                    builder.add(a);
                     true
                 });
-                black_box(ProvFormula::from_assignments(assignments.iter()).len())
+                black_box(builder.finish().negated_cnf().num_clauses())
             })
         });
         group.bench_function(BenchmarkId::new("alg1_full", name), |b| {

@@ -14,10 +14,10 @@
 
 use crate::result::PhaseBreakdown;
 use datalog::{Evaluator, Mode};
-use provenance::{ProvFormula, ProvFormulaBuilder};
-use sat::{solve_min_ones, Cnf, Lit, MinOnesOptions, Outcome};
+use provenance::ProvFormulaBuilder;
+use sat::{solve_min_ones, MinOnesOptions, Outcome};
 use std::time::Instant;
-use storage::{FxHashMap, Instance, State, TupleId};
+use storage::{Instance, State, TupleId};
 
 /// Outcome of Algorithm 1.
 #[derive(Debug)]
@@ -88,59 +88,11 @@ pub fn run_with_deadline(
     }
     let eval = t0.elapsed();
 
-    // Phase 2: Process Prov — negated formula as CNF over deletion vars.
+    // Phase 2: Process Prov — rank, sort and deduplicate the clauses, then
+    // negate the formula into a CNF over deletion variables.
     let t1 = Instant::now();
     let formula = builder.finish();
-    let universe = formula.tuple_universe();
-    let var_of: FxHashMap<TupleId, u32> = universe
-        .iter()
-        .enumerate()
-        .map(|(i, &t)| (t, i as u32))
-        .collect();
-    let mut cnf = Cnf::new(universe.len());
-    let mut lits = Vec::new();
-    // Canonical clause order. The builder yields clauses in first-seen
-    // order, which tracks the evaluator's enumeration order and therefore
-    // the chosen join plans. The Min-Ones search breaks ties between
-    // equal-size minimum models by clause layout (local variable
-    // numbering follows clause order), so sort clauses by content: the
-    // CNF — and hence the returned repair — becomes a pure function of
-    // the clause *set*, identical under any join order.
-    let mut ordered: Vec<&provenance::ProvClause> = formula.clauses().iter().collect();
-    ordered.sort_unstable_by(|a, b| a.pos.cmp(&b.pos).then_with(|| a.neg.cmp(&b.neg)));
-    for clause in ordered {
-        lits.clear();
-        // ¬(pos present ∧ neg deleted) = ⋁ del(pos) ∨ ⋁ ¬del(neg).
-        // Both sides are tuple-sorted and `var_of` is monotone in tuple
-        // order, so merging the two ascending literal runs yields a sorted,
-        // duplicate-free, tautology-free clause (contradictions were
-        // dropped by the formula builder) — no per-clause sort needed.
-        let mut pos = clause.pos.iter().map(|t| Lit::pos(var_of[t])).peekable();
-        let mut neg = clause.neg.iter().map(|t| Lit::neg(var_of[t])).peekable();
-        loop {
-            match (pos.peek(), neg.peek()) {
-                (Some(&p), Some(&n)) => {
-                    if p < n {
-                        lits.push(p);
-                        pos.next();
-                    } else {
-                        lits.push(n);
-                        neg.next();
-                    }
-                }
-                (Some(_), None) => {
-                    lits.extend(pos.by_ref());
-                    break;
-                }
-                (None, Some(_)) => {
-                    lits.extend(neg.by_ref());
-                    break;
-                }
-                (None, None) => break,
-            }
-        }
-        cnf.add_clause_presorted(&lits);
-    }
+    let cnf = formula.negated_cnf();
     let process = t1.elapsed();
 
     // Phase 3: Solve — Min-Ones SAT.
@@ -164,13 +116,14 @@ pub fn run_with_deadline(
         // satisfiable.
         Outcome::Unsat => unreachable!("delta-rule CNFs are always satisfiable"),
     };
-    let mut deleted: Vec<TupleId> = universe
+    // The universe is sorted, so the delete-set comes out sorted.
+    let deleted: Vec<TupleId> = formula
+        .universe()
         .iter()
         .zip(&solution.values)
         .filter(|(_, &del)| del)
         .map(|(&t, _)| t)
         .collect();
-    deleted.sort_unstable();
     let mut state = db.initial_state();
     for &t in &deleted {
         state.delete(t);
@@ -195,13 +148,13 @@ pub fn run_with_deadline(
 /// only. Returns `None` if the universe exceeds `max_universe` tuples.
 pub fn optimal(db: &Instance, ev: &Evaluator, max_universe: usize) -> Option<Vec<TupleId>> {
     let state0 = db.initial_state();
-    let mut assignments = Vec::new();
+    let mut builder = ProvFormulaBuilder::new();
     ev.for_each_assignment(db, &state0, Mode::Hypothetical, &mut |a| {
-        assignments.push(a.clone());
+        builder.add(a);
         true
     });
-    let formula = ProvFormula::from_assignments(assignments.iter());
-    let universe = formula.tuple_universe();
+    let formula = builder.finish();
+    let universe = formula.universe();
     let n = universe.len();
     if n > max_universe {
         return None;
@@ -255,17 +208,33 @@ mod tests {
 
     #[test]
     fn example_5_1_formula_shape() {
-        // After dedup (rules 2/3 share bodies) the negated formula has six
-        // clauses, exactly as printed in Example 5.1.
+        // After dedup (rules 2/3 share bodies) the negated formula has the
+        // six clauses Example 5.1 prints, plus the rule-1 clause through
+        // g1/ag1/a1, which the example omits: it is satisfied by deleting
+        // g1 alone and does not change the result. Canonical order sorts
+        // clauses by their (present, deleted) tuples.
         let mut db = figure1_instance();
         let ev = Evaluator::new(&mut db, figure2_program()).unwrap();
-        let out = default_run(&db, &ev);
-        // One hypothetical rule-1 assignment goes through g1/ag1/a1 — it
-        // dedups with nothing, so 7 total: Example 5.1 writes only the 6
-        // clauses over the ERC side plus the unit; the g1 clause
-        // (¬a1 ∨ ¬ag1 ∨ g1) is trivially satisfiable and does not change
-        // the result.
-        assert_eq!(out.cnf_clauses, 7);
+        let mut builder = ProvFormulaBuilder::new();
+        ev.for_each_assignment(&db, &db.initial_state(), Mode::Hypothetical, &mut |a| {
+            builder.add(a);
+            true
+        });
+        let rendered = builder.finish().render_negation(&db);
+        let clauses: Vec<&str> = rendered.split(" ∧ ").collect();
+        assert_eq!(
+            clauses,
+            [
+                "(¬Grant(2, ERC))",
+                "(¬AuthGrant(2, 1) ∨ ¬Author(2, Maggie) ∨ Grant(1, NSF))",
+                "(¬AuthGrant(4, 2) ∨ ¬Author(4, Marge) ∨ Grant(2, ERC))",
+                "(¬AuthGrant(5, 2) ∨ ¬Author(5, Homer) ∨ Grant(2, ERC))",
+                "(¬Cite(7, 6) ∨ ¬Writes(4, 6) ∨ ¬Writes(5, 7) ∨ Pub(6, x))",
+                "(¬Writes(4, 6) ∨ ¬Pub(6, x) ∨ Author(4, Marge))",
+                "(¬Writes(5, 7) ∨ ¬Pub(7, y) ∨ Author(5, Homer))",
+            ]
+        );
+        assert_eq!(default_run(&db, &ev).cnf_clauses, 7);
     }
 
     #[test]

@@ -1290,7 +1290,12 @@ pub(crate) fn run_semantics(
     match semantics {
         Semantics::End => {
             let t0 = Instant::now();
-            let out = end::run_threads(db, ev, threads);
+            // The assignment stream is only needed as captured provenance;
+            // a plain recompute leaves it unrecorded.
+            let out = FixpointDriver::new(ev, DeltaPolicy::AtEnd { naive: false })
+                .threads(threads)
+                .record_assignments(capture)
+                .run(db);
             let certificate = if out.deleted.is_empty() {
                 OptimalityCertificate::AlreadyStable
             } else {

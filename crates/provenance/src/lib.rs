@@ -29,6 +29,6 @@ pub mod graph;
 pub mod support;
 
 pub use explain::{to_dot, DerivationTree, Explainer, Premise};
-pub use formula::{ProvClause, ProvFormula, ProvFormulaBuilder};
+pub use formula::{ProvFormula, ProvFormulaBuilder};
 pub use graph::ProvGraph;
 pub use support::SupportIndex;

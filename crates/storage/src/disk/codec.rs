@@ -102,6 +102,14 @@ impl<'a> Reader<'a> {
         self.bytes.len() - self.pos
     }
 
+    /// `n` capped by how many elements of at least `min_size` encoded
+    /// bytes the unread input could still hold: a safe `Vec::with_capacity`
+    /// argument for a count read from the data itself, which a checksum
+    /// does not vouch for.
+    pub fn capacity_for(&self, n: usize, min_size: usize) -> usize {
+        n.min(self.remaining() / min_size.max(1))
+    }
+
     pub fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
         if self.remaining() < n {
             return Err(format!(

@@ -116,7 +116,9 @@ pub fn encode(gen: u64, db: &Instance, meta: &SessionMeta) -> Vec<u8> {
 
 /// Decode and fully validate a snapshot file. Any failure — bad magic,
 /// checksum mismatch, impossible contents — is a `String` detail for the
-/// recovery ladder to report; this function never panics on garbage.
+/// recovery ladder to report; this function never panics on garbage, and
+/// no count read from the file sizes an allocation beyond what the rest of
+/// the file could encode.
 pub fn decode(bytes: &[u8]) -> Result<SnapshotData, String> {
     if bytes.len() < SNAP_MAGIC.len() + 4 {
         return Err("file too short for a snapshot".into());
@@ -137,7 +139,8 @@ pub fn decode(bytes: &[u8]) -> Result<SnapshotData, String> {
     let schema = codec::read_schema(&mut r)?;
 
     let nsyms = r.u32()? as usize;
-    let mut symbols = Vec::with_capacity(nsyms);
+    // Minimum encodings: a string is a u32 length plus its bytes.
+    let mut symbols = Vec::with_capacity(r.capacity_for(nsyms, 4));
     for _ in 0..nsyms {
         symbols.push(Value::str(r.str()?));
     }
@@ -145,7 +148,17 @@ pub fn decode(bytes: &[u8]) -> Result<SnapshotData, String> {
     let mut relations = Vec::with_capacity(schema.len());
     for (rel, rs) in schema.iter() {
         let rows = r.u64()? as usize;
-        let mut tuples = Vec::with_capacity(rows);
+        // The live bitset alone needs 8 bytes per 64 rows; a count beyond
+        // that cannot be real (and would spin on zero-arity rows).
+        if rows.div_ceil(64) > r.remaining() / 8 {
+            return Err(format!(
+                "relation `{}`: {rows} rows cannot fit in the remaining {} bytes",
+                rs.name,
+                r.remaining()
+            ));
+        }
+        // A value is at least a tag plus a u32 symbol reference.
+        let mut tuples = Vec::with_capacity(r.capacity_for(rows, 5 * rs.arity()));
         for _ in 0..rows {
             let mut values = Vec::with_capacity(rs.arity());
             for attr in &rs.attrs {
@@ -173,7 +186,7 @@ pub fn decode(bytes: &[u8]) -> Result<SnapshotData, String> {
                 rs.name
             ));
         }
-        let mut words = Vec::with_capacity(nwords);
+        let mut words = Vec::with_capacity(r.capacity_for(nwords, 8));
         for _ in 0..nwords {
             words.push(r.u64()?);
         }
@@ -186,11 +199,13 @@ pub fn decode(bytes: &[u8]) -> Result<SnapshotData, String> {
     }
 
     let nhist = r.u32()? as usize;
-    let mut history = Vec::with_capacity(nhist);
+    // An entry is at least a semantics byte and a u32 count; a deleted
+    // tuple is a u16 relation and a u32 row.
+    let mut history = Vec::with_capacity(r.capacity_for(nhist, 5));
     for _ in 0..nhist {
         let semantics = r.u8()?;
         let n = r.u32()? as usize;
-        let mut deleted = Vec::with_capacity(n);
+        let mut deleted = Vec::with_capacity(r.capacity_for(n, 6));
         for _ in 0..n {
             let rel = RelId(r.u16()?);
             let row = r.u32()?;
@@ -299,5 +314,55 @@ mod tests {
         bytes[body_len..].copy_from_slice(&crc.to_le_bytes());
         let err = decode(&bytes).unwrap_err();
         assert!(err.contains("duplicates"), "{err}");
+    }
+
+    /// `bytes` with `value` written at `pos` and the file CRC recomputed,
+    /// so only the forged count itself can reject the file.
+    fn forged(bytes: &[u8], pos: usize, value: &[u8]) -> Vec<u8> {
+        let mut bytes = bytes.to_vec();
+        bytes[pos..pos + value.len()].copy_from_slice(value);
+        let body_len = bytes.len() - 4;
+        let crc = codec::crc32(&bytes[..body_len]);
+        bytes[body_len..].copy_from_slice(&crc.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn forged_counts_are_rejected_without_huge_reservations() {
+        let mut schema = Schema::new();
+        schema.relation("R", &[("x", AttrType::Int)]);
+        let mut db = Instance::new(schema.clone());
+        let t = db.insert_values("R", [Value::Int(5)]).unwrap();
+        let meta = SessionMeta {
+            epoch: 1,
+            history: vec![HistoryEntry {
+                semantics: 0,
+                deleted: vec![t],
+            }],
+        };
+        let bytes = encode(0, &db, &meta);
+        assert!(decode(&bytes).is_ok());
+        // Layout: 32 header bytes | schema | nsyms u32 | rows u64 |
+        // one 9-byte row | nwords u64 | word u64 | nhist u32 |
+        // semantics u8 | n u32 | tid | crc.
+        let mut schema_bytes = Vec::new();
+        codec::put_schema(&mut schema_bytes, &schema);
+        let nsyms = 32 + schema_bytes.len();
+        let rows = nsyms + 4;
+        let nwords = rows + 8 + 9;
+        let nhist = nwords + 16;
+        let n = nhist + 4 + 1;
+        let big64 = 1_000_000_000_000_000_000u64.to_le_bytes();
+        let big32 = u32::MAX.to_le_bytes();
+        for (what, pos, value) in [
+            ("nsyms", nsyms, &big32[..]),
+            ("rows", rows, &big64[..]),
+            ("nwords", nwords, &big64[..]),
+            ("nhist", nhist, &big32[..]),
+            ("history n", n, &big32[..]),
+        ] {
+            let bad = forged(&bytes, pos, value);
+            assert!(decode(&bad).is_err(), "forged {what} count decoded");
+        }
     }
 }

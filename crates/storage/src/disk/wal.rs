@@ -153,7 +153,8 @@ fn decode_payload(payload: &[u8]) -> Result<WalRecord, String> {
         0 => {
             let rel = RelId(r.u16()?);
             let arity = r.u16()?;
-            let mut values = Vec::with_capacity(arity as usize);
+            // A value is at least a tag plus a u32 string length.
+            let mut values = Vec::with_capacity(r.capacity_for(arity as usize, 5));
             for _ in 0..arity {
                 values.push(read_value(&mut r)?);
             }
@@ -170,7 +171,8 @@ fn decode_payload(payload: &[u8]) -> Result<WalRecord, String> {
             let epoch = r.u64()?;
             let semantics = r.u8()?;
             let n = r.u32()?;
-            let mut deleted = Vec::with_capacity(n as usize);
+            // A tuple id is a u16 relation plus a u32 row.
+            let mut deleted = Vec::with_capacity(r.capacity_for(n as usize, 6));
             for _ in 0..n {
                 deleted.push(read_tid(&mut r)?);
             }
@@ -330,6 +332,30 @@ mod tests {
             },
             WalRecord::Undo { epoch: 44 },
         ]
+    }
+
+    #[test]
+    fn forged_counts_are_rejected_without_huge_reservations() {
+        // An Apply claiming u32::MAX deleted tuples, and an Insert claiming
+        // u16::MAX values, each with no elements behind the count.
+        let mut apply = vec![4];
+        codec::put_u64(&mut apply, 1);
+        apply.push(0);
+        codec::put_u32(&mut apply, u32::MAX);
+        let mut insert = vec![0];
+        codec::put_u16(&mut insert, 0);
+        codec::put_u16(&mut insert, u16::MAX);
+        for payload in [apply, insert] {
+            assert!(decode_payload(&payload).is_err());
+            // Framed with a valid checksum, the record still ends the scan.
+            let mut file = encode_header(0, 0, &schema());
+            codec::put_u32(&mut file, payload.len() as u32);
+            codec::put_u32(&mut file, codec::crc32(&payload));
+            file.extend_from_slice(&payload);
+            let parsed = parse(&file).unwrap();
+            assert!(parsed.records.is_empty());
+            assert!(parsed.tail_error.is_some());
+        }
     }
 
     #[test]

@@ -44,7 +44,7 @@ ALLOWLIST = {
     "crates/datalog/src/eval.rs": 2,
     "crates/datalog/src/validate.rs": 2,
     "crates/provenance/src/explain.rs": 9,
-    "crates/provenance/src/formula.rs": 5,
+    "crates/provenance/src/formula.rs": 8,
     "crates/provenance/src/graph.rs": 7,
     "crates/sat/src/minones.rs": 0,
     "crates/storage/src/hash.rs": 3,

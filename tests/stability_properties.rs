@@ -9,7 +9,7 @@
 //!   exact references never beat independent semantics.
 
 use delta_repairs::{
-    parse_program, AttrType, Instance, Program, RepairSession, Schema, Semantics, Value,
+    parse_program, AttrType, Instance, Program, RepairSession, Schema, Semantics, TupleId, Value,
 };
 use proptest::prelude::*;
 
@@ -131,6 +131,54 @@ proptest! {
             let r3 = b.run(sem);
             prop_assert!(delta_repairs::relationships::set_eq(r1.deleted(), r2.deleted()));
             prop_assert!(delta_repairs::relationships::set_eq(r1.deleted(), r3.deleted()), "{sem} depends on rule order");
+        }
+    }
+
+    /// Process Prov against Definition 3.3 itself: under any deletion set
+    /// `S`, the negated provenance CNF holds iff `(D \ S) ∪ Δ(S)` satisfies
+    /// no rule. Tuples outside the formula's universe appear in no
+    /// assignment, so they cannot change either side.
+    #[test]
+    fn negated_cnf_holds_iff_deletion_set_stabilizes(
+        db in arb_db(),
+        program in arb_program(),
+        masks in prop::collection::vec(0u64..(1 << 18), 1..8),
+    ) {
+        let session = RepairSession::new(db, program).expect("valid");
+        let (db, ev) = (session.db(), session.evaluator());
+        let mut builder = delta_repairs::provenance::ProvFormulaBuilder::new();
+        ev.for_each_assignment(
+            db,
+            &db.initial_state(),
+            delta_repairs::datalog::Mode::Hypothetical,
+            &mut |a| {
+                builder.add(a);
+                true
+            },
+        );
+        let formula = builder.finish();
+        let cnf = formula.negated_cnf();
+        let tuples: Vec<TupleId> = db
+            .schema()
+            .iter()
+            .flat_map(|(rel, _)| db.relation(rel).iter().map(move |(row, _)| TupleId::new(rel, row)))
+            .collect();
+        prop_assert!(tuples.len() <= 18);
+        for mask in masks {
+            let deleted: Vec<TupleId> = tuples
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| mask >> i & 1 == 1)
+                .map(|(_, &t)| t)
+                .collect();
+            let values: Vec<bool> =
+                formula.universe().iter().map(|t| deleted.contains(t)).collect();
+            prop_assert_eq!(
+                cnf.eval(&values),
+                delta_repairs::stability::is_stabilizing(db, ev, &deleted),
+                "CNF and Def. 3.3 disagree on S = {:?}",
+                deleted
+            );
         }
     }
 
