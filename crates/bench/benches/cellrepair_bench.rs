@@ -1,5 +1,5 @@
 //! Figure 10 — runtime scaling of the four semantics and the
-//! HoloClean-substitute cell repairer, versus the number of errors (10a)
+//! HoloClean-substitute cell repair, versus the number of errors (10a)
 //! and the number of rows (10b).
 
 use cellrepair::{repair, CellRepairConfig};
@@ -36,7 +36,7 @@ fn bench_vs_errors(c: &mut Criterion) {
                 })
             });
         }
-        // The probabilistic cell repairer.
+        // The probabilistic cell repair.
         group.bench_with_input(BenchmarkId::new("holoclean_sub", errors), &table, |b, t| {
             b.iter(|| {
                 let mut work = t.clone();

@@ -200,7 +200,7 @@ OPTIONS:
 LINT SUBCOMMAND:
     delta-repair lint --program RULES.dl [--db DATA.tsv] [--json]
 
-    Statically analyze a delta program without repairing anything: unsafe
+    Statically check a delta program without repairing anything: unsafe
     variables, unused relations, dead rules, constant contradictions,
     cartesian-product joins, duplicate/subsumed rules, recursion cycles,
     and the semantics-equivalence certificate (which of the four repair
@@ -336,7 +336,7 @@ where
 /// Parsed `lint` subcommand line.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LintOptions {
-    /// Path of the delta program to analyze (required).
+    /// Path of the delta program to lint (required).
     pub program: String,
     /// Optional TSV database: its schema enables the schema-dependent
     /// passes (unknown relations, arity, column types).
@@ -683,14 +683,8 @@ pub fn run_session(opts: &Options, session: &mut RepairSession) -> Result<RunOut
     if session.is_stable() {
         let _ = writeln!(report, "database is already stable: nothing to repair");
     }
-    let analysis = datalog::analyze(&program);
-    if !analysis.is_nonrecursive() {
-        let _ = writeln!(
-            report,
-            "note: program is recursive through Δ{} — all semantics terminate, \
-             but provenance size is data-dependent (see paper §8)",
-            analysis.recursive_relations.join(", Δ")
-        );
+    if let Some(recursion) = datalog::recursion_diagnostic(&program) {
+        let _ = writeln!(report, "{recursion}");
     }
 
     let wanted: Vec<Semantics> = match opts.semantics {
@@ -1186,6 +1180,33 @@ delta AuthGrant(a, g) :- AuthGrant(a, g), delta Grant(g, n).
         let out = run(&opts, DB, RULES).unwrap();
         assert!(out.report.contains("triggers"));
         assert!(out.report.contains("stable: true"));
+    }
+
+    /// The report's I202 lines (the lint diagnostic, verbatim).
+    fn recursion_lines(report: &str) -> Vec<&str> {
+        report.lines().filter(|l| l.contains("[I202]")).collect()
+    }
+
+    #[test]
+    fn run_reports_recursion_as_the_i202_diagnostic() {
+        // The recursive chain of tests/recursion.rs: ΔNode depends on itself.
+        let db = "# relation Node(v: int)\n0\n1\n2\n# relation Edge(u: int, v: int)\n0\t1\n1\t2\n";
+        let rules = "delta Node(v) :- Node(v), v = 0.
+                     delta Node(v) :- Node(v), Edge(u, v), delta Node(u).";
+        let out = run(&base_opts(), db, rules).unwrap();
+        assert_eq!(
+            recursion_lines(&out.report),
+            vec!["info[I202]: program is recursive through delta relations: Node -> Node"]
+        );
+    }
+
+    #[test]
+    fn run_on_figure_2_reports_no_recursion() {
+        let db = tsv::to_tsv_typed(&repair_core::testkit::figure1_instance());
+        let rules = repair_core::testkit::figure2_program().to_string();
+        let out = run(&base_opts(), &db, &rules).unwrap();
+        assert_eq!(out.results[0].size(), 3, "Figure 1's independent repair");
+        assert!(recursion_lines(&out.report).is_empty(), "{}", out.report);
     }
 
     #[test]

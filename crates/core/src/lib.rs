@@ -39,17 +39,12 @@
 //! assert!(session.verify_stabilizing(ind.deleted()));
 //! # Ok::<(), repair_core::RepairError>(())
 //! ```
-//!
-//! The pre-session [`Repairer`] (`&mut db` to plan, `&db` on every run,
-//! bare results, three unrelated error types) survives as a deprecated shim
-//! over the same dispatch; see [`repairer`] for the migration table.
 
 pub mod end;
 pub mod engine;
 pub mod error;
 pub mod independent;
 pub mod relationships;
-pub mod repairer;
 pub mod result;
 pub mod session;
 pub mod stability;
@@ -59,8 +54,6 @@ pub mod testkit;
 
 pub use engine::{AdvanceStats, DeltaPolicy, EngineState, FixpointDriver, FixpointOutcome};
 pub use error::RepairError;
-#[allow(deprecated)]
-pub use repairer::Repairer;
 pub use result::{ParseSemanticsError, PhaseBreakdown, RepairResult, Semantics};
 pub use session::{
     AppliedRepair, Optimality, OptimalityCertificate, RepairOutcome, RepairPreview,

@@ -1274,9 +1274,11 @@ fn relabel_certified(outcome: &mut RepairOutcome, requested: Semantics) {
     }
 }
 
-/// Shared per-semantics dispatch: one code path serves [`RepairSession`]
-/// and the deprecated [`crate::Repairer`] shim, so old and new API are
-/// bit-identical by construction.
+/// Per-semantics dispatch of a full (non-incremental) run, called only by
+/// [`RepairSession::repair`]: evaluates `semantics` over `db` and labels
+/// the result with its [`Optimality`] certificate. The static-certificate
+/// relabeling happens in the caller, so with `certificates(false)` the
+/// label is the dispatch's own (e.g. step's `InteractionFree`).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_semantics(
     db: &Instance,
@@ -1450,6 +1452,54 @@ mod tests {
         let all = s.run_all();
         assert_eq!(all[0].semantics(), Semantics::Independent);
         assert_eq!(all[3].semantics(), Semantics::End);
+    }
+
+    #[test]
+    fn running_example_table3_row() {
+        let [ind, step, stage, _] = session().run_all();
+        let row = relationships::table3_row(ind.as_result(), step.as_result(), stage.as_result());
+        // Step ⊊ Stage here, and the AuthGrant tuples are not derivable, so
+        // Ind is not contained in either.
+        assert!(!row.step_eq_stage);
+        assert!(!row.ind_sub_stage);
+        assert!(!row.ind_sub_step);
+    }
+
+    #[test]
+    fn stability_entry_points() {
+        let s = session();
+        assert!(!s.is_stable());
+        let all: Vec<_> = s.db().all_tuple_ids().collect();
+        assert!(s.verify_stabilizing(&all), "deleting everything stabilizes");
+    }
+
+    #[test]
+    fn uncertified_cascade_step_is_proven_interaction_free() {
+        // With static certificates off, Algorithm 2 itself proves a pure
+        // cascade optimal from its interaction-free provenance graph; a
+        // default request relabels the same answer as a static equivalence.
+        let program = datalog::parse_program(
+            "delta R1(x) :- R1(x), x = 1.
+             delta R2(x) :- R2(x), delta R1(x).",
+        )
+        .unwrap();
+        let s =
+            RepairSession::new(crate::testkit::tiny_instance(&[1], &[1], &[]), program).unwrap();
+        let step = s
+            .repair(&RepairRequest::new(Semantics::Step).certificates(false))
+            .unwrap();
+        assert_eq!(step.size(), 2);
+        assert!(step.proven_optimal() && !step.served_via_certificate());
+        assert_eq!(
+            step.optimality().certificate,
+            OptimalityCertificate::InteractionFree
+        );
+        let certified = s.run(Semantics::Step);
+        assert_eq!(certified.deleted(), step.deleted());
+        assert_eq!(
+            certified.optimality().certificate,
+            OptimalityCertificate::StaticEquivalence
+        );
     }
 
     #[test]

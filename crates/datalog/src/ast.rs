@@ -295,70 +295,6 @@ impl Program {
     pub fn is_empty(&self) -> bool {
         self.rules.is_empty()
     }
-
-    /// Is the program recursive through delta relations?
-    ///
-    /// Builds the dependency graph `Δj → Δi` for every rule `Δi :- …, Δj, …`
-    /// and reports whether it has a cycle. The paper restricts attention to
-    /// bounded (non-inherently-recursive) programs; all workloads in this
-    /// repository are acyclic, but evaluation terminates either way because
-    /// delta relations are bounded by their base relations.
-    pub fn is_recursive(&self) -> bool {
-        use std::collections::{HashMap, HashSet};
-        let mut edges: HashMap<&str, HashSet<&str>> = HashMap::new();
-        for r in &self.rules {
-            for a in &r.body {
-                if a.is_delta {
-                    edges
-                        .entry(a.relation.as_str())
-                        .or_default()
-                        .insert(r.head.relation.as_str());
-                }
-            }
-        }
-        // DFS cycle detection over the delta-relation graph.
-        #[derive(Clone, Copy, PartialEq)]
-        enum Mark {
-            White,
-            Gray,
-            Black,
-        }
-        let nodes: HashSet<&str> = edges
-            .keys()
-            .copied()
-            .chain(edges.values().flatten().copied())
-            .collect();
-        let mut mark: HashMap<&str, Mark> = nodes.iter().map(|&n| (n, Mark::White)).collect();
-        fn dfs<'a>(
-            n: &'a str,
-            edges: &HashMap<&'a str, HashSet<&'a str>>,
-            mark: &mut HashMap<&'a str, Mark>,
-        ) -> bool {
-            mark.insert(n, Mark::Gray);
-            if let Some(next) = edges.get(n) {
-                for &m in next {
-                    match mark.get(m).copied().unwrap_or(Mark::White) {
-                        Mark::Gray => return true,
-                        Mark::White => {
-                            if dfs(m, edges, mark) {
-                                return true;
-                            }
-                        }
-                        Mark::Black => {}
-                    }
-                }
-            }
-            mark.insert(n, Mark::Black);
-            false
-        }
-        let node_list: Vec<&str> = nodes.into_iter().collect();
-        for n in node_list {
-            if mark[&n] == Mark::White && dfs(n, &edges, &mut mark) {
-                return true;
-            }
-        }
-        false
-    }
 }
 
 impl fmt::Display for Program {
@@ -422,6 +358,8 @@ mod tests {
 
     #[test]
     fn recursion_detection() {
+        let is_recursive = |p: &Program| crate::lint::recursion_diagnostic(p).is_some();
+
         // ΔA :- A, ΔB and ΔB :- B, ΔA  → recursive.
         let p = Program::new(vec![
             rule(
@@ -439,7 +377,7 @@ mod tests {
                 ],
             ),
         ]);
-        assert!(p.is_recursive());
+        assert!(is_recursive(&p));
 
         // Linear chain is not recursive.
         let p2 = Program::new(vec![
@@ -458,7 +396,7 @@ mod tests {
                 ],
             ),
         ]);
-        assert!(!p2.is_recursive());
+        assert!(!is_recursive(&p2));
 
         // Self-loop ΔA :- A, ΔA.
         let p3 = Program::new(vec![rule(
@@ -468,6 +406,6 @@ mod tests {
                 Atom::delta("A", vec![Term::var("y")]),
             ],
         )]);
-        assert!(p3.is_recursive());
+        assert!(is_recursive(&p3));
     }
 }

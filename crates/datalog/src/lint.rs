@@ -14,7 +14,7 @@
 //! | duplicate rules | `W104` | warning | no |
 //! | subsumed rules | `W105` | warning | no |
 //! | unused schema relations | `I201` | info | yes |
-//! | recursion through delta | `I202` | info | no |
+//! | recursion through delta ([`recursion_diagnostic`]) | `I202` | info | no |
 //! | semantics-equivalence certificate | `I203` | info | no |
 //!
 //! # The certificate pass
@@ -30,11 +30,10 @@
 //! rule index, then pass order), and allocation-light — linting is cheap
 //! enough to run at session construction.
 
-use crate::analysis;
 use crate::ast::{Atom, Program, Rule, Span, Term};
 use crate::error::DatalogError;
 use crate::validate;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use storage::{Instance, Schema, Sym, Value};
 
@@ -261,7 +260,7 @@ fn lint_impl(schema: Option<&Schema>, db: Option<&Instance>, program: &Program) 
     contradiction_pass(program, &mut diags);
     cartesian_pass(program, db, &mut diags);
     duplicate_pass(program, &mut diags);
-    recursion_pass(program, &mut diags);
+    diags.extend(recursion_diagnostic(program));
     let certificate = certify(program);
     if certificate.any() {
         diags.push(Diagnostic {
@@ -699,82 +698,138 @@ fn match_term(pat: &Term, target: &Term, theta: &mut Vec<(Sym, Term)>) -> bool {
     }
 }
 
-/// `I202`: recursion through delta relations, with one offending cycle
-/// printed. The engine evaluates recursive programs fine (delta relations
-/// are bounded by their base relations), but the paper restricts attention
-/// to non-recursive programs, so the cycle is worth knowing about.
-fn recursion_pass(program: &Program, diags: &mut Vec<Diagnostic>) {
-    let a = analysis::analyze(program);
-    if a.max_cascade_depth.is_some() {
-        return; // Acyclic.
-    }
-    if let Some(cycle) = find_cycle(program) {
-        diags.push(Diagnostic {
-            code: "I202",
-            severity: Severity::Info,
-            rule: None,
-            span: None,
-            message: format!(
-                "program is recursive through delta relations: {}",
-                cycle.join(" -> ")
-            ),
-        });
-    }
-}
-
-/// One delta-dependency cycle `[A, B, …, A]`, deterministically (relations
-/// and edges visited in sorted order).
-fn find_cycle(program: &Program) -> Option<Vec<String>> {
-    // Edges Δbody -> Δhead, sorted for determinism.
+/// `I202`: recursion through delta relations — the workspace's one
+/// recursion check (`lint` runs it as a pass; the CLI's repair report
+/// prints its diagnostic).
+///
+/// The delta-dependency graph has an edge `Δbody → Δhead` for every delta
+/// body atom. The paper restricts Algorithms 1 and 2 to bounded programs
+/// (Section 2) and warns that provenance may grow super-polynomially under
+/// recursion (Section 8); every semantics still terminates, because delta
+/// relations are bounded by their base relations. Returns `None` on acyclic
+/// programs. Otherwise the message prints the shortest cycle through the
+/// first recursive relation in name order, then names every other relation
+/// on some delta cycle, so no recursive relation goes unreported.
+pub fn recursion_diagnostic(program: &Program) -> Option<Diagnostic> {
     let mut edges: BTreeSet<(&str, &str)> = BTreeSet::new();
     for r in &program.rules {
-        for a in &r.body {
-            if a.is_delta {
-                edges.insert((a.relation.as_str(), r.head.relation.as_str()));
+        for a in r.body.iter().filter(|a| a.is_delta) {
+            edges.insert((a.relation.as_str(), r.head.relation.as_str()));
+        }
+    }
+    let names: Vec<&str> = edges
+        .iter()
+        .flat_map(|&(a, b)| [a, b])
+        .collect::<BTreeSet<_>>()
+        .into_iter()
+        .collect();
+    let id = |n: &str| names.binary_search(&n).expect("edge endpoint is a node");
+    // Edges are sorted, so each successor list is too: the search order, and
+    // hence the printed cycle, is deterministic.
+    let mut succ = vec![Vec::new(); names.len()];
+    for &(a, b) in &edges {
+        succ[id(a)].push(id(b));
+    }
+    let recursive = on_a_cycle(&succ);
+    let cycle = shortest_cycle(&succ, recursive.iter().position(|&r| r)?)?;
+    let mut message = format!(
+        "program is recursive through delta relations: {}",
+        cycle
+            .iter()
+            .map(|&v| names[v])
+            .collect::<Vec<_>>()
+            .join(" -> ")
+    );
+    let mut printed = vec![false; names.len()];
+    for &v in &cycle {
+        printed[v] = true;
+    }
+    let others: Vec<&str> = (0..names.len())
+        .filter(|&v| recursive[v] && !printed[v])
+        .map(|v| names[v])
+        .collect();
+    if !others.is_empty() {
+        message.push_str(&format!(" (also on a delta cycle: {})", others.join(", ")));
+    }
+    Some(Diagnostic {
+        code: "I202",
+        severity: Severity::Info,
+        rule: None,
+        span: None,
+        message,
+    })
+}
+
+/// Tarjan's strongly connected components, iteratively: `true` for every
+/// node on a cycle (a component of two or more nodes, or a self-loop).
+fn on_a_cycle(succ: &[Vec<usize>]) -> Vec<bool> {
+    const UNSEEN: usize = usize::MAX;
+    let n = succ.len();
+    let (mut index, mut low, mut next) = (vec![UNSEEN; n], vec![0; n], 0);
+    let (mut stack, mut on_stack, mut on_cycle) = (Vec::new(), vec![false; n], vec![false; n]);
+    for root in 0..n {
+        if index[root] != UNSEEN {
+            continue;
+        }
+        let mut calls = vec![(root, 0)];
+        while let Some(&mut (v, ref mut child)) = calls.last_mut() {
+            if index[v] == UNSEEN {
+                (index[v], low[v]) = (next, next);
+                next += 1;
+                stack.push(v);
+                on_stack[v] = true;
+            }
+            if let Some(&w) = succ[v].get(*child) {
+                *child += 1;
+                if index[w] == UNSEEN {
+                    calls.push((w, 0));
+                } else if on_stack[w] {
+                    low[v] = low[v].min(index[w]);
+                }
+                continue;
+            }
+            calls.pop();
+            if let Some(&(parent, _)) = calls.last() {
+                low[parent] = low[parent].min(low[v]);
+            }
+            if low[v] == index[v] {
+                let root_at = stack
+                    .iter()
+                    .rposition(|&u| u == v)
+                    .expect("v is on the stack");
+                let component = stack.split_off(root_at);
+                let cyclic = component.len() > 1 || succ[v].contains(&v);
+                for u in component {
+                    on_stack[u] = false;
+                    on_cycle[u] = cyclic;
+                }
             }
         }
     }
-    let nodes: BTreeSet<&str> = edges.iter().flat_map(|&(a, b)| [a, b]).collect();
-    let succ = |n: &str| -> Vec<&str> {
-        edges
-            .iter()
-            .filter(|&&(a, _)| a == n)
-            .map(|&(_, b)| b)
-            .collect()
-    };
-    // Iterative DFS keeping the gray path to reconstruct the cycle.
-    let mut color: BTreeMap<&str, u8> = BTreeMap::new();
-    for &start in &nodes {
-        if color.get(start).copied().unwrap_or(0) != 0 {
-            continue;
-        }
-        let mut path: Vec<&str> = Vec::new();
-        let mut stack: Vec<(&str, usize)> = vec![(start, 0)];
-        while let Some(&mut (node, ref mut next)) = stack.last_mut() {
-            if *next == 0 {
-                color.insert(node, 1);
-                path.push(node);
-            }
-            let succs = succ(node);
-            if *next < succs.len() {
-                let m = succs[*next];
-                *next += 1;
-                match color.get(m).copied().unwrap_or(0) {
-                    1 => {
-                        // Back edge: the cycle is the gray path from m.
-                        let pos = path.iter().position(|&p| p == m).unwrap();
-                        let mut cycle: Vec<String> =
-                            path[pos..].iter().map(|s| s.to_string()).collect();
-                        cycle.push(m.to_string());
-                        return Some(cycle);
-                    }
-                    0 => stack.push((m, 0)),
-                    _ => {}
+    on_cycle
+}
+
+/// The shortest cycle `[s, …, s]` through `s`, by breadth-first search;
+/// `None` when `s` lies on no cycle.
+fn shortest_cycle(succ: &[Vec<usize>], s: usize) -> Option<Vec<usize>> {
+    let mut parent = vec![usize::MAX; succ.len()];
+    let mut queue = VecDeque::from([s]);
+    while let Some(u) = queue.pop_front() {
+        for &w in &succ[u] {
+            if w == s {
+                let mut cycle = vec![s];
+                let mut x = u;
+                while x != s {
+                    cycle.push(x);
+                    x = parent[x];
                 }
-            } else {
-                color.insert(node, 2);
-                path.pop();
-                stack.pop();
+                cycle.push(s);
+                cycle.reverse();
+                return Some(cycle);
+            }
+            if parent[w] == usize::MAX {
+                parent[w] = u;
+                queue.push_back(w);
             }
         }
     }
@@ -785,6 +840,7 @@ fn find_cycle(program: &Program) -> Option<Vec<String>> {
 mod tests {
     use super::*;
     use crate::parser::parse_program;
+    use proptest::prelude::*;
     use storage::AttrType;
 
     fn schema() -> Schema {
@@ -914,6 +970,120 @@ mod tests {
             "cycle printed: {}",
             d.message
         );
+    }
+
+    /// Fixed programs: acyclic ones (Figure 2, chain, diamond) and a
+    /// relation (D, on A → B → D → C → A) that the printed shortest cycle
+    /// misses and the "also" list must name. The self-loop, two-cycle,
+    /// DC-only and empty programs are in `analysis::tests`.
+    #[test]
+    fn i202_fixed_cases() {
+        let figure2 = "delta Grant(g, n) :- Grant(g, n), n = 'ERC'.
+             delta Author(a, n) :- Author(a, n), AuthGrant(a, g), delta Grant(g, gn).
+             delta Pub(p, t) :- Pub(p, t), Writes(a, p), delta Author(a, n).
+             delta Writes(a, p) :- Pub(p, t), Writes(a, p), delta Author(a, n).
+             delta Cite(c, p) :- Cite(c, p), delta Pub(p, t), Writes(a1, c), Writes(a2, p).";
+        let cases: [(&str, &str, Option<&str>); 4] = [
+            ("figure 2", figure2, None),
+            (
+                "chain",
+                "delta B(x) :- B(x), delta A(x).
+                 delta C(x) :- C(x), delta B(x).",
+                None,
+            ),
+            (
+                "diamond",
+                "delta A(x) :- A(x).
+                 delta B(x) :- B(x), delta A(x).
+                 delta C(x) :- C(x), delta A(x).
+                 delta D(x) :- D(x), delta B(x).
+                 delta D(x) :- D(x), delta C(x).
+                 delta E(x) :- E(x), delta D(x).",
+                None,
+            ),
+            (
+                "A-B-C-D",
+                "delta A(x) :- A(x), x = 1.
+                 delta B(x) :- B(x), delta A(x).
+                 delta C(x) :- C(x), delta B(x).
+                 delta A(x) :- A(x), delta C(x).
+                 delta D(x) :- D(x), delta B(x).
+                 delta C(x) :- C(x), delta D(x).",
+                Some("A -> B -> C -> A (also on a delta cycle: D)"),
+            ),
+        ];
+        for (label, src, want) in cases {
+            let got = recursion_diagnostic(&parse_program(src).unwrap()).map(|d| d.message);
+            let want = want.map(|w| format!("program is recursive through delta relations: {w}"));
+            assert_eq!(got, want, "{label}");
+        }
+    }
+
+    /// Rules over relations `R0`..`R4`: `(head, delta body relations)`, each
+    /// rule keeping its Definition 3.1 witness atom.
+    fn delta_program(rules: &[(usize, Vec<usize>)]) -> Program {
+        let x = || vec![Term::var("x")];
+        let rules = rules.iter().map(|(head, body)| {
+            let head = format!("R{head}");
+            let mut atoms = vec![Atom::base(&head, x())];
+            atoms.extend(body.iter().map(|b| Atom::delta(&format!("R{b}"), x())));
+            Rule::new(Atom::delta(&head, x()), atoms, vec![])
+        });
+        Program::new(rules.collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// I202 fires iff some relation reaches itself in the transitive
+        /// closure of the Δbody → Δhead edges (Warshall over a boolean
+        /// matrix, no lint code shared); its cycle is closed and made of
+        /// edges; and cycle plus "also" list name exactly the relations
+        /// that reach themselves, each once.
+        #[test]
+        fn i202_iff_a_relation_reaches_itself(
+            rules in prop::collection::vec((0usize..5, prop::collection::vec(0usize..5, 0..3)), 0..7)
+        ) {
+            let mut edge = [[false; 5]; 5];
+            for (head, body) in &rules {
+                for &b in body {
+                    edge[b][*head] = true;
+                }
+            }
+            let mut reach = edge;
+            for k in 0..5 {
+                for i in 0..5 {
+                    for j in 0..5 {
+                        reach[i][j] |= reach[i][k] && reach[k][j];
+                    }
+                }
+            }
+            let recursive: Vec<usize> = (0..5).filter(|&i| reach[i][i]).collect();
+            match recursion_diagnostic(&delta_program(&rules)) {
+                None => prop_assert!(recursive.is_empty()),
+                Some(d) => {
+                    let text = d
+                        .message
+                        .strip_prefix("program is recursive through delta relations: ")
+                        .unwrap();
+                    let (cycle, also) = match text.split_once(" (also on a delta cycle: ") {
+                        Some((c, rest)) => (c, rest.strip_suffix(')').unwrap()),
+                        None => (text, ""),
+                    };
+                    let id = |r: &str| r.strip_prefix('R').unwrap().parse::<usize>().unwrap();
+                    let cycle: Vec<usize> = cycle.split(" -> ").map(id).collect();
+                    prop_assert!(cycle.len() >= 2);
+                    prop_assert_eq!(cycle.first(), cycle.last());
+                    for pair in cycle.windows(2) {
+                        prop_assert!(edge[pair[0]][pair[1]], "{pair:?} is not an edge");
+                    }
+                    let mut named: Vec<usize> = cycle[1..].to_vec();
+                    named.extend(also.split(", ").filter(|r| !r.is_empty()).map(id));
+                    named.sort_unstable();
+                    prop_assert_eq!(named, recursive);
+                }
+            }
+        }
     }
 
     #[test]

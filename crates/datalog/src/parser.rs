@@ -472,7 +472,7 @@ mod tests {
         assert_eq!(p.rules[1].body.len(), 3);
         assert!(p.rules[1].body[2].is_delta);
         assert_eq!(p.rules[0].comparisons.len(), 1);
-        assert!(!p.is_recursive());
+        assert!(crate::lint::recursion_diagnostic(&p).is_none());
     }
 
     #[test]

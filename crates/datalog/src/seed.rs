@@ -8,7 +8,7 @@
 //!
 //! [`seed_rule`] builds one such rule; [`with_interventions`] appends seeds
 //! for a set of tuples to an existing program, ready to be handed to a
-//! repairer.
+//! `RepairSession`.
 
 use crate::ast::{Atom, Program, Rule, Term};
 use storage::{Instance, TupleId};

@@ -89,7 +89,7 @@ fn main() {
     );
     if after > 0 {
         println!(
-            "               -> the probabilistic repairer under-repairs (Table 5's finding); \
+            "               -> probabilistic cell repair under-repairs (Table 5's finding); \
              the delta-rule semantics never leave violations (Prop. 3.18)."
         );
     }

@@ -39,8 +39,6 @@ ALLOWLIST = {
     "crates/core/src/independent.rs": 1,
     "crates/core/src/session.rs": 2,
     "crates/core/src/step.rs": 4,
-    "crates/datalog/src/analysis.rs": 3,
-    "crates/datalog/src/ast.rs": 6,
     "crates/datalog/src/eval.rs": 2,
     "crates/datalog/src/validate.rs": 2,
     "crates/provenance/src/explain.rs": 9,

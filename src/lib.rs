@@ -87,10 +87,6 @@
 //! # Ok::<(), delta_repairs::RepairError>(())
 //! ```
 //!
-//! The pre-0.2 [`Repairer`] is deprecated; it now shims onto the session's
-//! dispatch and will be removed once downstream callers migrate (see
-//! `repair_core::repairer` for the migration table).
-//!
 //! ## Crate map
 //!
 //! * [`storage`] — interned values, tuples with stable ids, per-column hash
@@ -115,18 +111,15 @@
 //! paper-vs-measured record of every table and figure.
 
 pub use repair_core::{
-    end, engine, error, independent, relationships, repairer, result, session, stability, stage,
-    step, testkit, AppliedRepair, Optimality, OptimalityCertificate, ParseSemanticsError,
-    PhaseBreakdown, RepairError, RepairOutcome, RepairPreview, RepairProvenance, RepairRequest,
-    RepairResult, RepairSession, Semantics,
+    end, engine, error, independent, relationships, result, session, stability, stage, step,
+    testkit, AppliedRepair, Optimality, OptimalityCertificate, ParseSemanticsError, PhaseBreakdown,
+    RepairError, RepairOutcome, RepairPreview, RepairProvenance, RepairRequest, RepairResult,
+    RepairSession, Semantics,
 };
 
-#[allow(deprecated)]
-pub use repair_core::Repairer;
-
 pub use datalog::{
-    analyze, parse_program, seed_rule, with_interventions, Analysis, Atom, CmpOp, Comparison,
-    DatalogError, DenialConstraint, Program, Rule, Term,
+    parse_program, seed_rule, with_interventions, Atom, CmpOp, Comparison, DatalogError,
+    DenialConstraint, Program, Rule, Term,
 };
 
 pub use storage::{
@@ -198,18 +191,5 @@ mod tests {
         let session = RepairSession::new(db, p).unwrap();
         let r = session.run(Semantics::End);
         assert_eq!(r.size(), 1);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_repairer_still_compiles_and_agrees() {
-        let mut db = testkit::figure1_instance();
-        let repairer = Repairer::new(&mut db, testkit::figure2_program()).unwrap();
-        let session =
-            RepairSession::new(testkit::figure1_instance(), testkit::figure2_program()).unwrap();
-        assert_eq!(
-            repairer.run(&db, Semantics::Step).deleted,
-            session.run(Semantics::Step).deleted()
-        );
     }
 }

@@ -62,7 +62,7 @@ fn semantics_always_fix_all_violations() {
     assert!(ind.size() < end.size());
 }
 
-/// Table 5's headline: the probabilistic cell repairer reduces violations
+/// Table 5's headline: probabilistic cell repair reduces violations
 /// substantially but is not guaranteed to eliminate them.
 #[test]
 fn cell_repair_reduces_but_may_not_eliminate_violations() {
@@ -73,7 +73,7 @@ fn cell_repair_reduces_but_may_not_eliminate_violations() {
     let after = total_violations(&table);
     assert!(
         report.repairs.len() > 50,
-        "the repairer must actually repair"
+        "cell repair must actually repair"
     );
     assert!(
         after < before / 2,

@@ -1,11 +1,13 @@
 //! Recursive delta programs (the paper's Section 8): all definitions and
 //! all four semantics apply — delta relations grow monotonically inside a
 //! finite universe, so every fixpoint terminates. Only the provenance
-//! *size* guarantees weaken, which `datalog::analyze` reports.
+//! *size* guarantees weaken, which lint's `I202` diagnostic
+//! (`datalog::recursion_diagnostic`, the one recursion check) reports.
 
-use delta_repairs::{
-    analyze, parse_program, AttrType, Instance, RepairSession, Schema, Semantics, Value,
-};
+use delta_repairs::datagen::{mas, scale, tpch, MasConfig, ScaleConfig, TpchConfig};
+use delta_repairs::datalog::recursion_diagnostic;
+use delta_repairs::workloads::{mas_programs, tpch_programs, zipf_programs};
+use delta_repairs::{parse_program, AttrType, Instance, RepairSession, Schema, Semantics, Value};
 
 /// Transitive deletion over a graph: deleting a node deletes its
 /// out-neighbours, recursively — `ΔNode` depends on itself.
@@ -32,11 +34,12 @@ fn reachability_setup(chain: usize) -> (Instance, delta_repairs::Program) {
 #[test]
 fn analysis_flags_the_recursion() {
     let (_, program) = reachability_setup(3);
-    let a = analyze(&program);
-    assert!(!a.is_nonrecursive());
-    assert_eq!(a.recursive_relations, vec!["Node".to_string()]);
-    assert_eq!(a.max_cascade_depth, None);
-    assert_eq!(a.seed_rules, vec![0]);
+    let d = recursion_diagnostic(&program).expect("ΔNode depends on itself");
+    assert_eq!(d.code, "I202");
+    assert_eq!(
+        d.message,
+        "program is recursive through delta relations: Node -> Node"
+    );
 }
 
 #[test]
@@ -66,7 +69,7 @@ fn all_semantics_terminate_on_the_recursive_chain() {
 #[test]
 fn recursion_depth_is_data_dependent() {
     // The end-semantics round count grows with the chain length — the
-    // data-dependent depth that `max_cascade_depth: None` warns about.
+    // data-dependent depth that I202 warns about.
     for n in [3usize, 6, 9] {
         let (db, program) = reachability_setup(n);
         let session = RepairSession::new(db, program).unwrap();
@@ -115,13 +118,35 @@ fn mutual_recursion_terminates() {
          delta A(x) :- A(x), delta B(x).",
     )
     .unwrap();
-    let a = analyze(&program);
-    assert!(!a.is_nonrecursive());
+    assert_eq!(
+        recursion_diagnostic(&program).map(|d| d.message).as_deref(),
+        Some("program is recursive through delta relations: A -> B -> A")
+    );
     let session = RepairSession::new(db, program).unwrap();
     for sem in Semantics::ALL {
         let r = session.run(sem);
         // Only x = 0 is reachable: ΔA(0) → ΔB(0) → ΔA(0) (already there).
         assert_eq!(r.size(), 2, "{sem}");
         assert!(session.verify_stabilizing(r.deleted()));
+    }
+}
+
+/// The paper's Algorithms 1 and 2 assume bounded programs (Section 2):
+/// none of the 29 built-in workloads (20 MAS, 6 TPC-H, 3 zipf) may recurse
+/// through delta relations. `repro lint-workloads` fails only on errors and
+/// I202 is an info, so this test is what pins the assumption.
+#[test]
+fn no_built_in_workload_is_recursive() {
+    let mas = mas::generate(&MasConfig::scaled(0.01));
+    let tpch = tpch::generate(&TpchConfig::scaled(0.01));
+    let zipf = scale::generate(&ScaleConfig::scaled(0.01));
+    let workloads: Vec<_> = mas_programs(&mas)
+        .into_iter()
+        .chain(tpch_programs(&tpch))
+        .chain(zipf_programs(&zipf))
+        .collect();
+    assert_eq!(workloads.len(), 29);
+    for w in workloads {
+        assert_eq!(recursion_diagnostic(&w.program), None, "{}", w.name);
     }
 }

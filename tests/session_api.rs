@@ -1,75 +1,15 @@
-//! The `RepairSession` redesign, pinned from the outside:
+//! The `RepairSession` API, pinned from the outside:
 //!
-//! * **old-vs-new differential** — the deprecated `Repairer` shim and
-//!   `RepairSession` must produce bit-identical delete-sets (ids *and*
-//!   order) on Figure 1 and on every Table 1 / Table 2 workload, in all
-//!   four semantics;
 //! * **apply/undo round-trip property** — committing a repair and undoing
 //!   it restores the instance exactly: tuple ids, dedup map, composite
 //!   index contents (via `Instance: PartialEq`) and stability status;
 //! * the request builder, unified error surface and semantics name
 //!   round-trip.
-#![allow(deprecated)]
 
-use delta_repairs::datagen::{mas, tpch, MasConfig, TpchConfig};
 use delta_repairs::{
-    parse_program, testkit, Instance, Program, RepairError, RepairRequest, RepairSession, Repairer,
-    Semantics,
+    parse_program, testkit, Instance, Program, RepairError, RepairRequest, RepairSession, Semantics,
 };
 use proptest::prelude::*;
-
-/// Old API and new API, same database, same program: every semantics must
-/// agree bit for bit (sorted id vectors compare ordered).
-fn assert_old_new_identical(label: &str, db: &Instance, program: Program) {
-    let mut old_db = db.clone();
-    let old = Repairer::new(&mut old_db, program.clone())
-        .unwrap_or_else(|e| panic!("{label}: old API rejected program: {e}"));
-    let new = RepairSession::new(db.clone(), program)
-        .unwrap_or_else(|e| panic!("{label}: new API rejected program: {e}"));
-    for sem in Semantics::ALL {
-        let old_result = old.run(&old_db, sem);
-        let new_outcome = new.run(sem);
-        assert_eq!(
-            old_result.deleted,
-            new_outcome.deleted(),
-            "{label}/{sem}: delete-sets diverged between Repairer and RepairSession"
-        );
-        assert_eq!(
-            old_result.proven_optimal,
-            new_outcome.proven_optimal(),
-            "{label}/{sem}: optimality flags diverged"
-        );
-    }
-}
-
-#[test]
-fn old_and_new_api_agree_on_figure1() {
-    assert_old_new_identical(
-        "figure1",
-        &testkit::figure1_instance(),
-        testkit::figure2_program(),
-    );
-}
-
-#[test]
-fn old_and_new_api_agree_on_all_mas_workloads() {
-    let data = mas::generate(&MasConfig::scaled(0.02));
-    let workloads = delta_repairs::workloads::mas_programs(&data);
-    assert_eq!(workloads.len(), 20, "all of Table 1");
-    for w in workloads {
-        assert_old_new_identical(&w.name, &data.db, w.program);
-    }
-}
-
-#[test]
-fn old_and_new_api_agree_on_all_tpch_workloads() {
-    let data = tpch::generate(&TpchConfig::scaled(0.01));
-    let workloads = delta_repairs::workloads::tpch_programs(&data);
-    assert_eq!(workloads.len(), 6, "all of Table 2");
-    for w in workloads {
-        assert_old_new_identical(&w.name, &data.db, w.program);
-    }
-}
 
 // ---------------------------------------------------------------------------
 // apply → undo round-trip property.
