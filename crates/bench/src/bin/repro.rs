@@ -5,10 +5,12 @@
 //!
 //! experiments:
 //!   table3    containment of results (Table 3)
-//!   fig6      result sizes, MAS programs (Figure 6a/6b/6c)
+//!   fig6      result sizes, MAS programs (Figure 6a/6b/6c); a `*` marks an
+//!             Independent size the Min-Ones search did not prove minimum
 //!   fig7      execution times, MAS programs (Figure 7)
 //!   fig8      runtime breakdown of Algorithms 1 and 2 (Figure 8a–d)
-//!   fig9      result sizes and runtimes, TPC-H programs (Figure 9a/9b)
+//!   fig9      result sizes and runtimes, TPC-H programs (Figure 9a/9b),
+//!             starred like fig6
 //!   triggers  PostgreSQL/MySQL trigger comparison (Section 6)
 //!   table4    over-deletions vs HoloClean-substitute under-repairs (Table 4)
 //!   table5    residual DC violations after repair (Table 5)
@@ -33,7 +35,7 @@ use bench::{
 };
 use cellrepair::{count_violating_tuples, repair as hc_repair, CellRepairConfig};
 use datagen::{author_table, inject_errors};
-use repair_core::{relationships, Semantics};
+use repair_core::{relationships, RepairResult, Semantics};
 use std::time::Instant;
 use triggers::{run_triggers, triggers_from_program, FiringOrder};
 use workloads::{author_instance_from_table, dc_delta_program, paper_dcs};
@@ -202,13 +204,15 @@ fn fig6() {
         "{:<10} {:>12} {:>8} {:>8} {:>8}",
         "program", "independent", "step", "stage", "end"
     );
+    let mut unproven = false;
     for (i, w) in lab.workloads.iter().enumerate() {
         let session = session_for(&lab.data.db, w);
         let [ind, step, stage, end] = run_four(&session);
+        unproven |= !ind.proven_optimal;
         println!(
             "{:<10} {:>12} {:>8} {:>8} {:>8}",
             w.name,
-            ind.size(),
+            independent_size(&ind),
             step.size(),
             stage.size(),
             end.size()
@@ -216,6 +220,22 @@ fn fig6() {
         if i == 9 || i == 14 {
             println!("{:-<50}", ""); // group boundaries: 6a | 6b | 6c
         }
+    }
+    unproven_footnote(unproven);
+}
+
+/// An Independent size, starred when the Min-Ones search did not prove it
+/// minimum (see [`unproven_footnote`]).
+fn independent_size(r: &RepairResult) -> String {
+    let star = if r.proven_optimal { "" } else { "*" };
+    format!("{}{star}", r.size())
+}
+
+/// The legend for [`independent_size`]'s star, printed when a table has
+/// one.
+fn unproven_footnote(any: bool) {
+    if any {
+        println!("* not proven minimum: the Min-Ones search stopped at its node budget");
     }
 }
 
@@ -305,13 +325,15 @@ fn fig9() {
         "{:<8} {:>12} {:>8} {:>8} {:>8} | {:>12} {:>10} {:>10} {:>10}",
         "program", "independent", "step", "stage", "end", "t(ind)", "t(step)", "t(stage)", "t(end)"
     );
+    let mut unproven = false;
     for w in &lab.workloads {
         let session = session_for(&lab.data.db, w);
         let [ind, step, stage, end] = run_four(&session);
+        unproven |= !ind.proven_optimal;
         println!(
             "{:<8} {:>12} {:>8} {:>8} {:>8} | {:>12} {:>10} {:>10} {:>10}",
             w.name,
-            ind.size(),
+            independent_size(&ind),
             step.size(),
             stage.size(),
             end.size(),
@@ -321,6 +343,7 @@ fn fig9() {
             fmt_duration(end.breakdown.total()),
         );
     }
+    unproven_footnote(unproven);
 }
 
 /// Section 6 "Comparison with Triggers": programs 3, 4, 5, 8, 20 under

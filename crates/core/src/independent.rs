@@ -162,20 +162,28 @@ pub fn optimal(db: &Instance, ev: &Evaluator, max_universe: usize) -> Option<Vec
     if n == 0 {
         return Some(Vec::new());
     }
-    // Subsets in order of increasing popcount.
-    let mut masks: Vec<u64> = (0..(1u64 << n)).collect();
-    masks.sort_by_key(|m| m.count_ones());
-    for mask in masks {
-        let set: std::collections::HashSet<TupleId> = universe
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| mask >> i & 1 == 1)
-            .map(|(_, &t)| t)
-            .collect();
-        if formula.stable_under(&set) {
-            let mut v: Vec<TupleId> = set.into_iter().collect();
-            v.sort_unstable();
-            return Some(v);
+    // Subsets in order of increasing size: for each size k, the
+    // k-combinations of universe indices in colexicographic order (the
+    // order of their bitmasks), advanced in place.
+    for k in 0..=n {
+        let mut idx: Vec<usize> = (0..k).collect();
+        loop {
+            let set: std::collections::HashSet<TupleId> =
+                idx.iter().map(|&i| universe[i]).collect();
+            if formula.stable_under(&set) {
+                // The universe is sorted and `idx` ascends.
+                return Some(idx.iter().map(|&i| universe[i]).collect());
+            }
+            // Bump the lowest index that has room below its successor and
+            // reset the ones beneath it.
+            let Some(i) = (0..k).find(|&i| idx[i] + 1 < idx.get(i + 1).copied().unwrap_or(n))
+            else {
+                break;
+            };
+            idx[i] += 1;
+            for (j, slot) in idx[..i].iter_mut().enumerate() {
+                *slot = j;
+            }
         }
     }
     unreachable!("the full universe is always stabilizing")
@@ -282,6 +290,18 @@ mod tests {
             },
         );
         assert!(ev.is_stable(&db, &out.state));
+    }
+
+    #[test]
+    fn exact_enumerator_handles_universes_past_64_tuples() {
+        // 70 R1 tuples plus R2(9): a 71-tuple universe, beyond any
+        // 64-bit subset mask. Deleting R2(9) alone is the minimum.
+        let r1: Vec<i64> = (1..=70).collect();
+        let mut db = tiny_instance(&r1, &[9], &[]);
+        let program = parse_program("delta R1(x) :- R1(x), R2(y).").unwrap();
+        let ev = Evaluator::new(&mut db, program).unwrap();
+        let exact = optimal(&db, &ev, 100).unwrap();
+        assert_eq!(names_of(&db, &exact), vec!["R2(9)"]);
     }
 
     #[test]

@@ -9,8 +9,16 @@
 //! The solver is a counter-based DPLL with
 //!
 //! * unit propagation and a trail for backtracking,
-//! * top-level simplification (units + the positive-purity rule: a variable
-//!   with no positive occurrence can always be `False`),
+//! * top-level simplification: units, the positive-purity rule (a variable
+//!   with no positive occurrence can always be `False`) and the set-cover
+//!   **dominance** rule — if `x` and `y` occur only positively and every
+//!   open clause of `x` also contains `y`, some minimum model has
+//!   `x = False` (set `x` to `False` and `y` to `True`: every clause of `x`
+//!   stays satisfied through `y`, none is falsified, the count does not
+//!   grow).
+//!   Rounds of dominance, units and purity run to fixpoint over one
+//!   compacted residual; on hitting-set-shaped CNFs they often leave no
+//!   search at all,
 //! * **connected-component decomposition** — repair CNFs produced by denial
 //!   constraints split into thousands of tiny violation clusters whose
 //!   minima simply add up; this is the property that makes the NP-hard

@@ -44,6 +44,9 @@ pub struct Stats {
     pub decisions: u64,
     /// Unit/pure assignments made by top-level simplification.
     pub simplified: usize,
+    /// Variables fixed to `False` by the dominance rule during top-level
+    /// simplification.
+    pub dominated: usize,
     /// Number of connected components solved.
     pub components: usize,
     /// Size of the largest component (variables).
@@ -86,22 +89,107 @@ impl Outcome {
 
 const UNSET: i8 = -1;
 
-/// Top-level simplification to fixpoint: unit propagation plus the
-/// positive-purity rule (a variable with no positive occurrence in any
-/// not-yet-satisfied clause can always be `False` — `False` costs nothing
-/// and only satisfies clauses). Returns `false` on UNSAT.
+/// Is some literal of `c` made true by `fixed`?
+fn satisfied(c: &[Lit], fixed: &[i8]) -> bool {
+    c.iter().any(|l| {
+        let f = fixed[l.var() as usize];
+        f != UNSET && (f == 1) == l.satisfying_value()
+    })
+}
+
+/// The open part of a formula under a partial assignment, in CSR layout:
+/// clause `i` is `lits[off[i]..off[i + 1]]`. It keeps the clauses no fixed
+/// literal satisfies and, in them, the unfixed literals, both in source
+/// order — no per-clause allocation.
+struct Residual {
+    off: Vec<u32>,
+    lits: Vec<Lit>,
+}
+
+impl Residual {
+    /// The open part of `cnf` under `fixed`.
+    fn of(cnf: &Cnf, fixed: &[i8]) -> Residual {
+        let mut res = Residual {
+            off: vec![0],
+            lits: Vec::new(),
+        };
+        for c in cnf.clauses().filter(|c| !satisfied(c, fixed)) {
+            res.lits.extend(
+                c.iter()
+                    .copied()
+                    .filter(|l| fixed[l.var() as usize] == UNSET),
+            );
+            debug_assert!(
+                res.lits.len() - *res.off.last().expect("non-empty") as usize >= 2,
+                "units handled by simplification"
+            );
+            res.off.push(res.lits.len() as u32);
+        }
+        res
+    }
+
+    /// Restrict to the open part under `fixed` again, in place.
+    fn compact(&mut self, fixed: &[i8]) {
+        let (mut kept, mut w) = (0, 0);
+        let mut start = 0;
+        for ci in 0..self.len() {
+            // Read the end before `off[kept]` (kept <= ci + 1) is rewritten.
+            let end = self.off[ci + 1] as usize;
+            if !satisfied(&self.lits[start..end], fixed) {
+                for i in start..end {
+                    let l = self.lits[i];
+                    if fixed[l.var() as usize] == UNSET {
+                        self.lits[w] = l;
+                        w += 1;
+                    }
+                }
+                kept += 1;
+                self.off[kept] = w as u32;
+                debug_assert!(
+                    w - self.off[kept - 1] as usize >= 2,
+                    "units handled by simplification"
+                );
+            }
+            start = end;
+        }
+        self.off.truncate(kept + 1);
+        self.lits.truncate(w);
+    }
+
+    fn len(&self) -> usize {
+        self.off.len() - 1
+    }
+
+    #[inline]
+    fn clause(&self, i: usize) -> &[Lit] {
+        &self.lits[self.off[i] as usize..self.off[i + 1] as usize]
+    }
+
+    fn clauses(&self) -> impl Iterator<Item = &[Lit]> + '_ {
+        (0..self.len()).map(|i| self.clause(i))
+    }
+}
+
+/// Unit propagation plus the positive-purity rule (a variable with no
+/// positive occurrence in any not-yet-satisfied clause can always be
+/// `False` — `False` costs nothing and only satisfies clauses), to
+/// fixpoint over the clauses `clauses()` yields. Returns `false` on UNSAT.
 ///
 /// Deep cascades drive this to fixpoint over many iterations (each unit
 /// chain link enables the next), so the loop body is one unit pass plus
 /// one merged purity/occurrence pass, over buffers allocated once.
-fn simplify(cnf: &Cnf, fixed: &mut [i8], simplified: &mut usize) -> bool {
-    let n = cnf.num_vars();
+fn propagate<'c, I: Iterator<Item = &'c [Lit]>>(
+    clauses: impl Fn() -> I,
+    fixed: &mut [i8],
+    simplified: &mut usize,
+) -> bool {
+    let n = fixed.len();
     let mut pos_occ = vec![false; n];
     let mut occurs = vec![false; n];
     loop {
         let mut changed = false;
         // Unit propagation over the current partial assignment.
-        for c in cnf.clauses() {
+        for c in clauses() {
             let mut satisfied = false;
             let mut unassigned: Option<Lit> = None;
             let mut n_unassigned = 0;
@@ -138,12 +226,8 @@ fn simplify(cnf: &Cnf, fixed: &mut [i8], simplified: &mut usize) -> bool {
         // computes both occurrence sets.
         pos_occ.iter_mut().for_each(|b| *b = false);
         occurs.iter_mut().for_each(|b| *b = false);
-        for c in cnf.clauses() {
-            let satisfied = c.iter().any(|l| {
-                let f = fixed[l.var() as usize];
-                f != UNSET && (f == 1) == l.satisfying_value()
-            });
-            if satisfied {
+        for c in clauses() {
+            if satisfied(c, fixed) {
                 continue;
             }
             for &l in c.iter() {
@@ -165,6 +249,125 @@ fn simplify(cnf: &Cnf, fixed: &mut [i8], simplified: &mut usize) -> bool {
         if !changed {
             return true;
         }
+    }
+}
+
+/// One round of the set-cover dominance rule over a compacted residual;
+/// returns the number of variables it fixed to `False`.
+///
+/// Let `x` and `y` be distinct unfixed variables with no negative literal
+/// in any open clause. If every open clause containing `x` also contains
+/// `y`, some minimum model has `x = False`: in a model with `x = True`, set
+/// `x` to `False` and `y` to `True`. Every clause of `x` stays satisfied
+/// through `y`, nothing is falsified because `y` occurs only positively,
+/// and the number of ones does not grow.
+///
+/// Variables are visited in ascending order, and a witness `y` is sought
+/// only in `x`'s shortest open clause, among variables with at least as
+/// many occurrences; of two variables with equal occurrence sets the
+/// lower-numbered one is kept. A fix only removes `x`'s literals and
+/// satisfies no clause, so the counts stay valid through the round, and a
+/// chain of dominations resolves in one pass. Each visit costs the length
+/// of `x`'s clauses.
+fn dominate(res: &Residual, fixed: &mut [i8]) -> usize {
+    let n = fixed.len();
+    let mut count = vec![0u32; n];
+    let mut has_neg = vec![false; n];
+    for &l in &res.lits {
+        if l.is_neg() {
+            has_neg[l.var() as usize] = true;
+        } else {
+            count[l.var() as usize] += 1;
+        }
+    }
+    // Occurrence lists of the positive-only variables, in clause order.
+    let mut occ_off = vec![0u32; n + 1];
+    for v in 0..n {
+        occ_off[v + 1] = occ_off[v] + if has_neg[v] { 0 } else { count[v] };
+    }
+    let mut cursor: Vec<u32> = occ_off[..n].to_vec();
+    let mut occ = vec![0u32; occ_off[n] as usize];
+    for (ci, c) in res.clauses().enumerate() {
+        for &l in c {
+            let v = l.var() as usize;
+            if !has_neg[v] {
+                occ[cursor[v] as usize] = ci as u32;
+                cursor[v] += 1;
+            }
+        }
+    }
+    // `cursor` is spent; reuse it as the per-candidate hit counter.
+    let hits = &mut cursor;
+    let mut stamp = vec![u32::MAX; n];
+    let mut fixed_now = 0;
+    for x in 0..n {
+        if has_neg[x] || count[x] == 0 || fixed[x] != UNSET {
+            continue;
+        }
+        let occ_x = &occ[occ_off[x] as usize..occ_off[x + 1] as usize];
+        let shortest = res.clause(
+            *occ_x
+                .iter()
+                .min_by_key(|&&ci| res.clause(ci as usize).len())
+                .expect("count > 0") as usize,
+        );
+        let mut candidates = false;
+        for &l in shortest {
+            let y = l.var() as usize;
+            if y != x
+                && !has_neg[y]
+                && fixed[y] == UNSET
+                && (count[y] > count[x] || (count[y] == count[x] && y < x))
+            {
+                stamp[y] = x as u32;
+                hits[y] = 0;
+                candidates = true;
+            }
+        }
+        if !candidates {
+            continue;
+        }
+        for &ci in occ_x {
+            for &l in res.clause(ci as usize) {
+                let y = l.var() as usize;
+                if stamp[y] == x as u32 {
+                    hits[y] += 1;
+                }
+            }
+        }
+        let dominated = shortest.iter().any(|l| {
+            let y = l.var() as usize;
+            stamp[y] == x as u32 && hits[y] == count[x]
+        });
+        if dominated {
+            fixed[x] = 0;
+            fixed_now += 1;
+        }
+    }
+    fixed_now
+}
+
+/// Top-level simplification: units and purity to fixpoint over `cnf`, then
+/// rounds of dominance ([`dominate`]) each followed by units and purity,
+/// over one residual compacted after every round, until a dominance round
+/// fixes nothing. Returns the residual the search works on, or `None` on
+/// UNSAT. When dominance never fires, the residual is exactly the open
+/// part left by units and purity alone.
+fn simplify(cnf: &Cnf, fixed: &mut [i8], stats: &mut Stats) -> Option<Residual> {
+    if !propagate(|| cnf.clauses(), fixed, &mut stats.simplified) {
+        return None;
+    }
+    let mut res = Residual::of(cnf, fixed);
+    loop {
+        let fixed_now = dominate(&res, fixed);
+        if fixed_now == 0 {
+            return Some(res);
+        }
+        stats.dominated += fixed_now;
+        if !propagate(|| res.clauses(), fixed, &mut stats.simplified) {
+            return None;
+        }
+        res.compact(fixed);
     }
 }
 
@@ -290,37 +493,10 @@ pub fn solve_min_ones(cnf: &Cnf, opts: &MinOnesOptions) -> Outcome {
     let n = cnf.num_vars();
     let mut stats = Stats::default();
     let mut fixed = vec![UNSET; n];
-    if !simplify(cnf, &mut fixed, &mut stats.simplified) {
+    let Some(res) = simplify(cnf, &mut fixed, &mut stats) else {
         return Outcome::Unsat;
-    }
-
-    // Residual clauses: not satisfied by `fixed`, restricted to unset vars.
-    // CSR layout (flat literals + offsets): clause `i` of the residual is
-    // `res_lits[res_off[i]..res_off[i+1]]` — no per-clause allocation.
-    let mut res_off: Vec<u32> = vec![0];
-    let mut res_lits: Vec<Lit> = Vec::new();
-    for c in cnf.clauses() {
-        let satisfied = c.iter().any(|l| {
-            let f = fixed[l.var() as usize];
-            f != UNSET && (f == 1) == l.satisfying_value()
-        });
-        if satisfied {
-            continue;
-        }
-        let start = res_lits.len();
-        res_lits.extend(
-            c.iter()
-                .copied()
-                .filter(|l| fixed[l.var() as usize] == UNSET),
-        );
-        debug_assert!(
-            res_lits.len() - start >= 2,
-            "units handled by simplification"
-        );
-        res_off.push(res_lits.len() as u32);
-    }
-    let n_residual = res_off.len() - 1;
-    let res_clause = |i: usize| &res_lits[res_off[i] as usize..res_off[i + 1] as usize];
+    };
+    let n_residual = res.len();
 
     let mut values: Vec<bool> = fixed.iter().map(|&f| f == 1).collect();
     let mut optimal = true;
@@ -329,14 +505,14 @@ pub fn solve_min_ones(cnf: &Cnf, opts: &MinOnesOptions) -> Outcome {
         // Group residual clauses into variable components.
         let mut dsu = DisjointSet::new(n);
         for ci in 0..n_residual {
-            for w in res_clause(ci).windows(2) {
+            for w in res.clause(ci).windows(2) {
                 dsu.union(w[0].var(), w[1].var());
             }
         }
         use storage::FxHashMap;
         let mut groups: FxHashMap<u32, Vec<usize>> = FxHashMap::default();
         for ci in 0..n_residual {
-            let root = dsu.find(res_clause(ci)[0].var());
+            let root = dsu.find(res.clause(ci)[0].var());
             groups.entry(root).or_default().push(ci);
         }
         let mut components: Vec<Vec<usize>> = if opts.decompose {
@@ -345,7 +521,7 @@ pub fn solve_min_ones(cnf: &Cnf, opts: &MinOnesOptions) -> Outcome {
             vec![(0..n_residual).collect()]
         };
         // Deterministic order (HashMap order is not).
-        components.sort_by_key(|cs| res_clause(cs[0])[0].var());
+        components.sort_by_key(|cs| res.clause(cs[0])[0].var());
         stats.components = components.len();
         // Local numbering buffers, reused across components. `local_of`
         // uses a generation stamp instead of clearing between components.
@@ -379,8 +555,8 @@ pub fn solve_min_ones(cnf: &Cnf, opts: &MinOnesOptions) -> Outcome {
                 };
                 fill_local(
                     clause_ids,
-                    &res_off,
-                    &res_lits,
+                    &res.off,
+                    &res.lits,
                     generation,
                     &mut local_gen,
                     &mut local_of,
@@ -431,8 +607,8 @@ pub fn solve_min_ones(cnf: &Cnf, opts: &MinOnesOptions) -> Outcome {
                 generation += 1;
                 fill_local(
                     &clause_ids,
-                    &res_off,
-                    &res_lits,
+                    &res.off,
+                    &res.lits,
                     generation,
                     &mut local_gen,
                     &mut local_of,
@@ -580,6 +756,99 @@ mod tests {
         assert_eq!(sol.ones, 1);
         assert!(sol.values[3]);
         assert!(sol.values.iter().enumerate().all(|(i, &v)| v == (i == 3)));
+    }
+
+    fn solve(n: usize, clauses: &[&[Lit]]) -> Solution {
+        solve_min_ones(&cnf(n, clauses), &MinOnesOptions::default())
+            .solution()
+            .expect("satisfiable")
+    }
+
+    #[test]
+    fn covered_variable_is_dominated() {
+        // (x ∨ y)(y ∨ z): y is in every clause of x, so x := False; z is
+        // covered by y the same way. Then (y) is a unit.
+        let (x, y, z) = (0, 1, 2);
+        let clauses: [&[Lit]; 2] = [&[Lit::pos(x), Lit::pos(y)], &[Lit::pos(y), Lit::pos(z)]];
+        let mut fixed = vec![UNSET; 3];
+        assert_eq!(
+            dominate(&Residual::of(&cnf(3, &clauses), &fixed), &mut fixed),
+            2
+        );
+        assert_eq!(fixed, [0, UNSET, 0]);
+        let sol = solve(3, &clauses);
+        assert_eq!(sol.values, [false, true, false]);
+        assert_eq!((sol.stats.dominated, sol.stats.decisions), (2, 0));
+        assert!(sol.optimal);
+    }
+
+    #[test]
+    fn witness_with_a_negative_occurrence_does_not_dominate() {
+        // (x ∨ y)(¬y ∨ w): y covers x's clause but occurs negatively.
+        // Fixing x := False would force y and then w — 2 ones against the
+        // optimum's 1 (x alone).
+        let (x, y, w) = (0, 1, 2);
+        let sol = solve(
+            3,
+            &[&[Lit::pos(x), Lit::pos(y)], &[Lit::neg(y), Lit::pos(w)]],
+        );
+        assert_eq!(sol.stats.dominated, 0);
+        assert_eq!(sol.ones, 1);
+        assert_eq!(sol.values, [true, false, false]);
+    }
+
+    #[test]
+    fn equal_occurrence_sets_keep_the_lower_variable() {
+        // (x0 ∨ x1): each covers the other; x1 goes, x0 becomes a unit.
+        let sol = solve(2, &[&[Lit::pos(0), Lit::pos(1)]]);
+        assert_eq!(sol.values, [true, false]);
+        assert_eq!((sol.stats.dominated, sol.stats.decisions), (1, 0));
+    }
+
+    #[test]
+    fn dominance_chain_resolves_in_one_round() {
+        // occ(x0) ⊂ occ(x1) ⊂ occ(x2), and x3, x4 each share one clause
+        // with x2. Ascending order fixes x0 (by x1 or x2), then x1 (by x2),
+        // then x3 and x4 — four fixes in a single round.
+        let l = Lit::pos;
+        let clauses: [&[Lit]; 4] = [
+            &[l(0), l(1), l(2)],
+            &[l(1), l(2)],
+            &[l(2), l(3)],
+            &[l(2), l(4)],
+        ];
+        let f = cnf(5, &clauses);
+        let mut fixed = vec![UNSET; 5];
+        assert_eq!(dominate(&Residual::of(&f, &fixed), &mut fixed), 4);
+        assert_eq!(fixed, [0, 0, UNSET, 0, 0]);
+        let sol = solve(5, &clauses);
+        assert_eq!(sol.values, [false, false, true, false, false]);
+        assert_eq!((sol.stats.dominated, sol.stats.decisions), (4, 0));
+    }
+
+    #[test]
+    fn compaction_matches_a_fresh_restriction() {
+        // Fix variables of a residual, compact it in place, and compare
+        // with the open part built from the formula under the same fixes.
+        let l = Lit::pos;
+        let f = cnf(
+            6,
+            &[
+                &[l(0), l(1), l(2)],
+                &[l(1), Lit::neg(3), l(4)],
+                &[l(2), l(5)],
+                &[l(3), l(4), l(5)],
+            ],
+        );
+        let mut fixed = vec![UNSET; 6];
+        let mut res = Residual::of(&f, &fixed);
+        fixed[1] = 1; // satisfies clauses 0 and 1
+        fixed[5] = 0; // shortens clause 3 (and clause 2 to a unit)
+        fixed[2] = 1; // satisfies clause 2
+        res.compact(&fixed);
+        let fresh = Residual::of(&f, &fixed);
+        assert_eq!((&res.off, &res.lits), (&fresh.off, &fresh.lits));
+        assert_eq!(res.clauses().collect::<Vec<_>>(), [&[l(3), l(4)][..]]);
     }
 
     /// Brute-force reference: minimum ones over all 2^n assignments.

@@ -3,6 +3,7 @@
 
 use delta_repairs::sat::{solve_min_ones, Cnf, Lit, MinOnesOptions, Outcome};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Brute-force minimum number of `True`s over all satisfying assignments.
 fn brute_force_min_ones(cnf: &Cnf, n_vars: usize) -> Option<u32> {
@@ -102,6 +103,69 @@ proptest! {
             }
             (Outcome::Unsat, Outcome::Unsat) => {}
             _ => prop_assert!(false, "first-solution mode changed satisfiability"),
+        }
+    }
+}
+
+prop_compose! {
+    /// A clause of the shape Algorithm 1's CNFs have: 1–3 positive
+    /// literals plus at most one negative literal.
+    fn arb_repair_clause(n: u32)(
+        pos in prop::collection::vec(0..n, 1..=3),
+        (neg, has_neg) in (0..n, any::<bool>()),
+    ) -> Vec<(u32, bool)> {
+        let mut c: Vec<(u32, bool)> = pos.into_iter().map(|v| (v, false)).collect();
+        if has_neg {
+            c.push((neg, true));
+        }
+        c
+    }
+}
+
+/// Cases of `dominance_keeps_the_minimum_on_repair_shaped_formulas`. Its
+/// last case checks that the dominance rule fired somewhere in the run,
+/// so the property cannot hold vacuously.
+const REPAIR_CASES: usize = 512;
+static REPAIR_CASES_RUN: AtomicUsize = AtomicUsize::new(0);
+static REPAIR_DOMINATED: AtomicUsize = AtomicUsize::new(0);
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(REPAIR_CASES as u32))]
+
+    /// Repair-shaped formulas (every clause has a positive literal, so
+    /// all-`True` is a model) exercise the dominance rule. Unbudgeted
+    /// solves are proven and hit the brute-force minimum; solves cut at
+    /// 1–4 nodes still return a model, never below the minimum, and equal
+    /// to it whenever they claim optimality.
+    #[test]
+    fn dominance_keeps_the_minimum_on_repair_shaped_formulas(
+        clauses in prop::collection::vec(arb_repair_clause(12), 0..24),
+        budget in 1u64..=4,
+    ) {
+        let n = 12;
+        let cnf = build_cnf(n, &clauses);
+        let expected = brute_force_min_ones(&cnf, n).expect("all-true satisfies");
+        let exact = solve_min_ones(&cnf, &MinOnesOptions::default())
+            .solution()
+            .expect("satisfiable");
+        prop_assert!(exact.optimal, "unbudgeted solve must prove optimality");
+        prop_assert!(cnf.eval(&exact.values));
+        prop_assert_eq!(exact.ones as u32, expected, "formula: {:?}", cnf);
+        let cut = solve_min_ones(
+            &cnf,
+            &MinOnesOptions { node_budget: budget, ..MinOnesOptions::default() },
+        )
+        .solution()
+        .expect("satisfiable");
+        prop_assert!(cnf.eval(&cut.values));
+        prop_assert!(cut.ones as u32 >= expected);
+        if cut.optimal {
+            prop_assert_eq!(cut.ones as u32, expected, "formula: {:?}", cnf);
+        }
+        let d = exact.stats.dominated;
+        let dominated = REPAIR_DOMINATED.fetch_add(d, Ordering::Relaxed) + d;
+        if REPAIR_CASES_RUN.fetch_add(1, Ordering::Relaxed) + 1 == REPAIR_CASES {
+            prop_assert!(dominated > 0, "the dominance rule never fired");
         }
     }
 }
