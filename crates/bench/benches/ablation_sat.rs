@@ -12,13 +12,14 @@
 use bench::{session_for, MasLab};
 use criterion::{criterion_group, criterion_main, Criterion};
 use datalog::Mode;
-use provenance::ProvFormulaBuilder;
-use sat::{solve_min_ones, Cnf, MinOnesOptions};
+use provenance::{ProvFormula, ProvFormulaBuilder};
+use sat::{solve_min_ones, MinOnesOptions};
 use std::hint::black_box;
 use std::time::Duration;
 
-/// Reproduce phases 1–2 of Algorithm 1: the CNF for a workload.
-fn cnf_for(lab: &MasLab, name: &str) -> Cnf {
+/// Reproduce phases 1–2 of Algorithm 1: the formula for a workload, which
+/// owns the CNF the solver reads.
+fn formula_for(lab: &MasLab, name: &str) -> ProvFormula {
     let w = lab
         .workloads
         .iter()
@@ -34,7 +35,7 @@ fn cnf_for(lab: &MasLab, name: &str) -> Cnf {
             builder.add(a);
             true
         });
-    builder.finish().negated_cnf()
+    builder.finish()
 }
 
 fn bench_sat_ablation(c: &mut Criterion) {
@@ -45,7 +46,8 @@ fn bench_sat_ablation(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(400))
         .measurement_time(Duration::from_millis(1200));
     for name in ["mas-12", "mas-08"] {
-        let cnf = cnf_for(&lab, name);
+        let formula = formula_for(&lab, name);
+        let cnf = formula.negated_cnf();
         // All configs share the session's default node budget so a
         // pathological branch & bound cannot stall the benchmark run.
         let budget = repair_core::RepairSession::DEFAULT_NODE_BUDGET;
@@ -78,7 +80,7 @@ fn bench_sat_ablation(c: &mut Criterion) {
             group.bench_function(format!("{name}/{label}"), |b| {
                 b.iter(|| {
                     black_box(
-                        solve_min_ones(&cnf, &opts)
+                        solve_min_ones(cnf, &opts)
                             .solution()
                             .map(|s| s.ones)
                             .unwrap_or(usize::MAX),

@@ -2,7 +2,11 @@
 //!
 //! Criterion measures each phase's cost by benchmarking cumulative
 //! prefixes of the pipelines on a DC-heavy program (mas-08, Figure 8a/8b's
-//! regime) and a cascade program (mas-20, Figure 8c/8d's regime):
+//! regime), a cascade program (mas-20, Figure 8c/8d's regime) and tpch-1,
+//! whose Independent formula (about 960K clauses at TPC-H scale 0.05, the
+//! benchmark's paper-suite) makes Process Prov the largest phase of
+//! Algorithm 1 — its `alg1_eval_process` minus `alg1_eval` is the formula
+//! build:
 //!
 //! * Algorithm 1: `eval` (hypothetical assignment enumeration) alone, then
 //!   eval + formula construction + negation into the CNF, then the full run (+ SAT solve);
@@ -11,7 +15,7 @@
 //!
 //! `repro fig8` prints the per-phase fractions directly.
 
-use bench::{session_for, MasLab};
+use bench::{session_for, MasLab, TpchLab};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use datalog::Mode;
 use provenance::{ProvFormulaBuilder, ProvGraph};
@@ -21,19 +25,21 @@ use std::hint::black_box;
 use std::time::Duration;
 
 fn bench_breakdown(c: &mut Criterion) {
-    let lab = MasLab::at_scale(0.02);
+    let mas = MasLab::at_scale(0.02);
+    let tpch = TpchLab::at_scale(0.01);
     let mut group = c.benchmark_group("fig8_breakdown");
     group
         .sample_size(10)
         .warm_up_time(Duration::from_millis(400))
         .measurement_time(Duration::from_millis(1200));
-    for name in ["mas-08", "mas-20"] {
-        let w = lab
-            .workloads
-            .iter()
-            .find(|w| w.name == name)
-            .expect("workload");
-        let session = session_for(&lab.data.db, w);
+    let labs = [
+        (&mas.data.db, &mas.workloads, "mas-08"),
+        (&mas.data.db, &mas.workloads, "mas-20"),
+        (&tpch.data.db, &tpch.workloads, "tpch-1"),
+    ];
+    for (base, workloads, name) in labs {
+        let w = workloads.iter().find(|w| w.name == name).expect("workload");
+        let session = session_for(base, w);
         let (db, ev) = (session.db(), session.evaluator());
 
         // Algorithm 1 phase prefixes.

@@ -88,8 +88,9 @@ pub fn run_with_deadline(
     }
     let eval = t0.elapsed();
 
-    // Phase 2: Process Prov — rank, sort and deduplicate the clauses, then
-    // negate the formula into a CNF over deletion variables.
+    // Phase 2: Process Prov — rank the tuples, order and deduplicate the
+    // clauses, and write the negated formula as a CNF over deletion
+    // variables.
     let t1 = Instant::now();
     let formula = builder.finish();
     let cnf = formula.negated_cnf();
@@ -106,7 +107,7 @@ pub fn run_with_deadline(
     } else {
         *opts
     };
-    let outcome = solve_min_ones(&cnf, &effective);
+    let outcome = solve_min_ones(cnf, &effective);
     let solve = t2.elapsed();
 
     let solution = match outcome {
@@ -165,12 +166,15 @@ pub fn optimal(db: &Instance, ev: &Evaluator, max_universe: usize) -> Option<Vec
     // Subsets in order of increasing size: for each size k, the
     // k-combinations of universe indices in colexicographic order (the
     // order of their bitmasks), advanced in place.
+    let mut deleted = vec![false; n];
     for k in 0..=n {
         let mut idx: Vec<usize> = (0..k).collect();
         loop {
-            let set: std::collections::HashSet<TupleId> =
-                idx.iter().map(|&i| universe[i]).collect();
-            if formula.stable_under(&set) {
+            deleted.fill(false);
+            for &i in &idx {
+                deleted[i] = true;
+            }
+            if formula.stable_under(&deleted) {
                 // The universe is sorted and `idx` ascends.
                 return Some(idx.iter().map(|&i| universe[i]).collect());
             }

@@ -6,10 +6,16 @@
 //! of all clauses; a database state is **stable** iff `¬F` holds. `¬F` is a
 //! CNF over deletion variables directly (no Tseitin transformation needed):
 //! negating one clause yields `⋁ deleted(p) ∨ ⋁ ¬deleted(n)`.
+//!
+//! A [`ProvFormula`] stores `¬F` only, as the [`Cnf`] the Min-Ones search
+//! reads. [`ProvFormulaBuilder::finish`] puts the clauses in canonical
+//! order without a comparison sort over the whole formula: it buckets them
+//! by their first tuple, sorts each (small) bucket, and writes the negated
+//! clauses straight into that CNF, skipping duplicates on the way.
 
 use datalog::Assignment;
 use sat::{Cnf, Lit};
-use std::collections::HashSet;
+use std::cmp::Ordering;
 use storage::{Instance, RelId, TupleId};
 
 /// Split an assignment's body into sorted, deduplicated base (`pos`) and
@@ -35,9 +41,9 @@ fn sides_share_tuple(pos: &[TupleId], neg: &[TupleId]) -> bool {
     let (mut i, mut j) = (0, 0);
     while i < pos.len() && j < neg.len() {
         match pos[i].cmp(&neg[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => return true,
+            Ordering::Less => i += 1,
+            Ordering::Greater => j += 1,
+            Ordering::Equal => return true,
         }
     }
     false
@@ -88,8 +94,9 @@ impl<T: Copy> Sides<T> {
     }
 }
 
-/// The provenance of all possible delta tuples: `F = ⋁ clauses`, stored
-/// deduplicated in canonical order (ascending by `(pos, neg)` content).
+/// The provenance of all possible delta tuples, held as its negation `¬F`:
+/// one CNF clause per distinct clause of `F`, in canonical order
+/// (ascending by the clause's `(pos, neg)` content).
 ///
 /// Tuples appear as *ranks*: rank `r` is the `r`-th tuple of
 /// [`ProvFormula::universe`], which is also SAT variable `r` of
@@ -97,7 +104,7 @@ impl<T: Copy> Sides<T> {
 #[derive(Clone, Debug, Default)]
 pub struct ProvFormula {
     universe: Vec<TupleId>,
-    clauses: Sides<u32>,
+    cnf: Cnf,
 }
 
 /// Incremental [`ProvFormula`] construction, dropping contradictions and
@@ -109,8 +116,8 @@ pub struct ProvFormula {
 /// the whole assignment vector when only the formula is needed. [`add`]
 /// only normalizes the clause and appends it to one flat tuple arena — no
 /// hashing, no allocation per clause. Duplicates are held until
-/// [`finish`], which ranks the mentioned tuples, sorts the clauses once by
-/// content and drops adjacent repeats.
+/// [`finish`], which ranks the mentioned tuples, orders the clauses and
+/// drops adjacent repeats while it writes the CNF.
 ///
 /// [`add`]: ProvFormulaBuilder::add
 /// [`finish`]: ProvFormulaBuilder::finish
@@ -121,6 +128,14 @@ pub struct ProvFormulaBuilder {
     pos: Vec<TupleId>,
     neg: Vec<TupleId>,
 }
+
+/// A clause in [`ProvFormulaBuilder::finish`]'s order buffer: its sort key
+/// and its index in the ranked arena ([`DUPLICATE`] once it is known to
+/// repeat the clause before it).
+type Record = ([u32; 4], u32);
+
+/// The index of a record that repeats an earlier clause.
+const DUPLICATE: u32 = u32::MAX;
 
 impl ProvFormulaBuilder {
     /// Empty builder.
@@ -138,39 +153,103 @@ impl ProvFormulaBuilder {
         }
     }
 
-    /// The formula: tuples ranked, clauses deduplicated and in canonical
-    /// order.
+    /// The formula: tuples ranked, clauses deduplicated, and `¬F` written
+    /// in canonical order.
     ///
     /// The canonical order makes the formula — and the CNF, whose layout
     /// the Min-Ones search uses to break ties between equal-size minimum
     /// models — a pure function of the clause *set*, identical under any
     /// join order or thread count.
+    ///
+    /// Linear apart from the per-bucket sorts. A clause's sort key is its
+    /// first four symbols, `pos` ranks + 1, a `0`, `neg` ranks + 1 and a
+    /// `0`. The first symbol (its smallest base tuple, or none) picks its
+    /// bucket, and ranks are dense, so the buckets are counted, and each
+    /// clause's record placed, in one pass apiece. Each bucket is sorted
+    /// by key when it is not sorted already, with the full `(pos, neg)`
+    /// comparison only between clauses of more than two tuples whose keys
+    /// tie. Emission then walks the records in order, skipping repeats, into
+    /// a CNF allocated at its exact size: a clause of at most two tuples is
+    /// decoded from its key, and only longer ones are gathered from the
+    /// ranked arena. The order buffer holds 20 bytes per clause.
     pub fn finish(self) -> ProvFormula {
         let Sides { items, ends } = self.clauses;
         let (universe, ranks) = rank(&items);
-        // Free the tuple arena before the sort buffers are allocated.
+        // Free the tuple arena before the order buffer is allocated.
         drop(items);
         let ranked = Sides { items: ranks, ends };
+        let sides = |id: u32| ranked.get(id as usize);
+        // Bucket of a clause: its first symbol.
+        let bucket_of = |pos: &[u32]| pos.first().map_or(0, |&r| r as usize + 1);
 
-        let mut order: Vec<(u128, u32)> = (0..ranked.len())
-            .map(|i| {
-                let (pos, neg) = ranked.get(i);
-                (sort_key(pos, neg), i as u32)
-            })
-            .collect();
-        let sides = |i: u32| ranked.get(i as usize);
-        order.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| sides(a.1).cmp(&sides(b.1))));
-        order.dedup_by(|a, b| a.0 == b.0 && sides(a.1) == sides(b.1));
-
-        let mut clauses = Sides {
-            items: Vec::with_capacity(ranked.items.len()),
-            ends: Vec::with_capacity(order.len()),
-        };
-        for &(_, i) in &order {
-            let (pos, neg) = sides(i);
-            clauses.push(pos, neg);
+        // Count the clauses per bucket, then turn the counts into starts.
+        let mut next = vec![0u32; universe.len() + 1];
+        for i in 0..ranked.len() {
+            next[bucket_of(ranked.get(i).0)] += 1;
         }
-        ProvFormula { universe, clauses }
+        let mut start = 0;
+        for slot in &mut next {
+            (*slot, start) = (start, start + *slot);
+        }
+        // Place each record in its bucket; afterwards `next[b]` is the end
+        // of bucket `b` and so the start of bucket `b + 1`.
+        let mut records: Vec<Record> = vec![([0; 4], 0); ranked.len()];
+        for i in 0..offset(ranked.len()) {
+            let (pos, neg) = sides(i);
+            let slot = &mut next[bucket_of(pos)];
+            records[*slot as usize] = (sort_key(pos, neg), i);
+            *slot += 1;
+        }
+
+        // Sort each bucket, mark repeats, and size the CNF exactly.
+        let cmp = |a: &Record, b: &Record| {
+            a.0.cmp(&b.0).then_with(|| match terminators(&a.0) {
+                Some(_) => Ordering::Equal,
+                None => sides(a.1).cmp(&sides(b.1)),
+            })
+        };
+        let (mut n_clauses, mut n_lits) = (0, 0);
+        let mut lo = 0;
+        for &hi in &next {
+            let bucket = &mut records[lo..hi as usize];
+            lo = hi as usize;
+            if !bucket.is_sorted_by(|a, b| cmp(a, b).is_le()) {
+                bucket.sort_unstable_by(cmp);
+            }
+            let mut kept: Option<Record> = None;
+            for r in bucket {
+                if kept.is_some_and(|k| cmp(&k, r).is_eq()) {
+                    r.1 = DUPLICATE;
+                    continue;
+                }
+                kept = Some(*r);
+                n_clauses += 1;
+                n_lits += match terminators(&r.0) {
+                    // The symbols before the second `0`, less the first `0`.
+                    Some((_, neg_end)) => neg_end - 1,
+                    None => {
+                        let (pos, neg) = sides(r.1);
+                        pos.len() + neg.len()
+                    }
+                };
+            }
+        }
+
+        let mut cnf = Cnf::with_capacity(universe.len(), n_clauses, n_lits);
+        let mut lits = Vec::new();
+        for &(key, id) in &records {
+            if id == DUPLICATE {
+                continue;
+            }
+            let decoded = key.map(|s| s.wrapping_sub(1));
+            let (pos, neg) = match terminators(&key) {
+                Some((pos_end, neg_end)) => (&decoded[..pos_end], &decoded[pos_end + 1..neg_end]),
+                None => sides(id),
+            };
+            negate(pos, neg, &mut lits);
+            cnf.add_clause_presorted(&lits);
+        }
+        ProvFormula { universe, cnf }
     }
 }
 
@@ -209,40 +288,60 @@ fn rank(arena: &[TupleId]) -> (Vec<TupleId>, Vec<u32>) {
 }
 
 /// A clause's sort key: the first four symbols of `pos + 1 … 0 neg + 1 … 0`
-/// packed big-endian (missing symbols are `0`). The terminators make the
-/// symbol sequence compare exactly like `(pos, neg)`; keys that tie need a
-/// full comparison only when both clauses run past four symbols.
-fn sort_key(pos: &[u32], neg: &[u32]) -> u128 {
+/// (missing symbols are `0`). The terminators make the symbol sequence
+/// compare exactly like `(pos, neg)`; keys that tie need a full comparison
+/// only when both clauses run past four symbols.
+fn sort_key(pos: &[u32], neg: &[u32]) -> [u32; 4] {
     let symbols = pos
         .iter()
         .map(|&r| r + 1)
         .chain([0])
-        .chain(neg.iter().map(|&r| r + 1))
-        .chain([0]);
-    let mut key = 0u128;
-    let mut n = 0;
-    for s in symbols.take(4) {
-        key = key << 32 | u128::from(s);
-        n += 1;
+        .chain(neg.iter().map(|&r| r + 1));
+    let mut key = [0; 4];
+    for (slot, s) in key.iter_mut().zip(symbols) {
+        *slot = s;
     }
-    key << (32 * (4 - n))
+    key
+}
+
+/// Where a key holds both terminators, i.e. the whole clause (at most two
+/// tuples): the positions of the two `0`s. `pos` ranks are the symbols
+/// before the first, `neg` ranks those between the two, each minus one.
+fn terminators(key: &[u32; 4]) -> Option<(usize, usize)> {
+    let pos_end = key.iter().position(|&s| s == 0)?;
+    let neg_len = key[pos_end + 1..].iter().position(|&s| s == 0)?;
+    Some((pos_end, pos_end + 1 + neg_len))
+}
+
+/// Write the negation of one clause of `F` into `lits`:
+/// `¬(pos present ∧ neg deleted) = ⋁ del(pos) ∨ ⋁ ¬del(neg)`. Both sides
+/// ascend and are disjoint (contradictions were dropped), so merging the
+/// two runs yields a sorted, duplicate-free, tautology-free clause.
+fn negate(pos: &[u32], neg: &[u32], lits: &mut Vec<Lit>) {
+    lits.clear();
+    let (mut i, mut j) = (0, 0);
+    while i < pos.len() && j < neg.len() {
+        if pos[i] < neg[j] {
+            lits.push(Lit::pos(pos[i]));
+            i += 1;
+        } else {
+            lits.push(Lit::neg(neg[j]));
+            j += 1;
+        }
+    }
+    lits.extend(pos[i..].iter().map(|&v| Lit::pos(v)));
+    lits.extend(neg[j..].iter().map(|&v| Lit::neg(v)));
 }
 
 impl ProvFormula {
-    /// The clauses of `F` in canonical order, each as its `(pos, neg)`
-    /// sides of ascending ranks.
-    pub fn clauses(&self) -> impl Iterator<Item = (&[u32], &[u32])> + '_ {
-        (0..self.len()).map(|i| self.clauses.get(i))
-    }
-
     /// Number of clauses.
     pub fn len(&self) -> usize {
-        self.clauses.len()
+        self.cnf.num_clauses()
     }
 
     /// True when `F` is empty (the database is vacuously stable).
     pub fn is_empty(&self) -> bool {
-        self.clauses.len() == 0
+        self.len() == 0
     }
 
     /// Every distinct tuple mentioned anywhere in the formula, sorted; the
@@ -255,64 +354,38 @@ impl ProvFormula {
     /// Algorithm 1's Process Prov: the negated formula `¬F` as a CNF over
     /// deletion variables, variable `r` deleting the tuple of rank `r`,
     /// clauses in the formula's canonical order.
-    pub fn negated_cnf(&self) -> Cnf {
-        let mut cnf = Cnf::new(self.universe.len());
-        let mut lits = Vec::new();
-        for (pos, neg) in self.clauses() {
-            lits.clear();
-            // ¬(pos present ∧ neg deleted) = ⋁ del(pos) ∨ ⋁ ¬del(neg).
-            // Both sides ascend and are disjoint (contradictions were
-            // dropped), so merging the two runs yields a sorted,
-            // duplicate-free, tautology-free clause.
-            let (mut i, mut j) = (0, 0);
-            while i < pos.len() && j < neg.len() {
-                if pos[i] < neg[j] {
-                    lits.push(Lit::pos(pos[i]));
-                    i += 1;
-                } else {
-                    lits.push(Lit::neg(neg[j]));
-                    j += 1;
-                }
-            }
-            lits.extend(pos[i..].iter().map(|&v| Lit::pos(v)));
-            lits.extend(neg[j..].iter().map(|&v| Lit::neg(v)));
-            cnf.add_clause_presorted(&lits);
-        }
-        cnf
+    pub fn negated_cnf(&self) -> &Cnf {
+        &self.cnf
     }
 
     /// Does a deletion set stabilize the database according to the formula?
-    /// (`¬F` holds: no clause satisfied — a clause is satisfied iff every
-    /// `pos` tuple is present and every `neg` tuple deleted.) Used by tests
-    /// to cross-check the evaluator's stability decision.
-    pub fn stable_under(&self, deleted: &HashSet<TupleId>) -> bool {
-        let del: Vec<bool> = self.universe.iter().map(|t| deleted.contains(t)).collect();
-        !self.clauses().any(|(pos, neg)| {
-            pos.iter().all(|&r| !del[r as usize]) && neg.iter().all(|&r| del[r as usize])
-        })
+    /// `deleted[r]` says whether the tuple of rank `r` is deleted; `¬F`
+    /// must hold. Used by tests to cross-check the evaluator's stability
+    /// decision.
+    pub fn stable_under(&self, deleted: &[bool]) -> bool {
+        self.cnf.eval(deleted)
     }
 
     /// Render the negated formula `¬F` the way Example 5.1 prints it, with
-    /// tuples shown as `Rel(v, …)`; deleted literals are shown negated.
+    /// tuples shown as `Rel(v, …)`: each clause's present tuples, negated,
+    /// then its deleted ones.
     pub fn render_negation(&self, db: &Instance) -> String {
         let mut out = String::new();
-        for (i, (pos, neg)) in self.clauses().enumerate() {
+        for (i, clause) in self.cnf.clauses().enumerate() {
             if i > 0 {
                 out.push_str(" ∧ ");
             }
             out.push('(');
-            let literals = pos
-                .iter()
-                .map(|&r| (true, r))
-                .chain(neg.iter().map(|&r| (false, r)));
-            for (j, (present, r)) in literals.enumerate() {
+            let present = clause.iter().filter(|l| !l.is_neg());
+            let deleted = clause.iter().filter(|l| l.is_neg());
+            for (j, l) in present.chain(deleted).enumerate() {
                 if j > 0 {
                     out.push_str(" ∨ ");
                 }
-                if present {
+                if !l.is_neg() {
                     out.push('¬');
                 }
-                out.push_str(&db.display_tuple(self.universe[r as usize]));
+                out.push_str(&db.display_tuple(self.universe[l.var() as usize]));
             }
             out.push(')');
         }
@@ -325,7 +398,7 @@ mod tests {
     use super::*;
     use datalog::eval::BodyBind;
     use proptest::prelude::*;
-    use std::collections::HashMap;
+    use std::collections::{HashMap, HashSet};
 
     fn tid(rel: u16, row: u32) -> TupleId {
         TupleId::new(RelId(rel), row)
@@ -353,16 +426,19 @@ mod tests {
         b.finish()
     }
 
-    /// A clause's sides as tuples.
+    /// The clauses of `F`, each as its present (`pos`) and deleted (`neg`)
+    /// tuples, read back from `¬F`.
     fn tuple_clauses(f: &ProvFormula) -> Vec<(Vec<TupleId>, Vec<TupleId>)> {
         let u = f.universe();
-        f.clauses()
-            .map(|(pos, neg)| {
-                (
-                    pos.iter().map(|&r| u[r as usize]).collect(),
-                    neg.iter().map(|&r| u[r as usize]).collect(),
-                )
-            })
+        let side = |c: &[Lit], deleted: bool| {
+            c.iter()
+                .filter(|l| l.is_neg() == deleted)
+                .map(|l| u[l.var() as usize])
+                .collect()
+        };
+        f.negated_cnf()
+            .clauses()
+            .map(|c| (side(c, false), side(c, true)))
             .collect()
     }
 
@@ -420,47 +496,60 @@ mod tests {
     /// Sparse row numbers, so the per-relation row tables have gaps.
     const ROWS: [u32; 6] = [0, 1, 5, 64, 700, 65_537];
 
-    /// A random assignment stream: bodies drawn from a small pool (so
-    /// duplicates recur far apart), over three relations and few rows (so
-    /// sides repeat tuples and contradictions occur), with each binding's
-    /// side chosen at random (so all-`pos` and all-`neg` bodies occur).
+    /// A random assignment stream: bodies drawn from a pool (so duplicates
+    /// recur far apart), over three relations and few rows (so sides repeat
+    /// tuples and contradictions occur), with each binding's side chosen at
+    /// random (so all-`pos` bodies occur) and one body in eight all-delta
+    /// (first symbol `0`). Half the streams are short; the other half draw
+    /// up to 2,000 assignments from up to 300 bodies of up to six atoms, so
+    /// that buckets hold hundreds of clauses and four-symbol keys tie.
     fn arb_stream() -> impl Strategy<Value = Vec<Assignment>> {
         proptest::strategy_fn(|rng: &mut TestRng| {
-            let pool: Vec<Assignment> = (0..1 + rng.below(12))
+            let (bodies, atoms, len) = if rng.below(2) == 0 {
+                (12, 5, 40)
+            } else {
+                (300, 6, 2_000)
+            };
+            let pool: Vec<Assignment> = (0..1 + rng.below(bodies))
                 .map(|_| {
-                    let body: Vec<(u16, u32, bool)> = (0..1 + rng.below(5))
+                    let all_delta = rng.below(8) == 0;
+                    let body: Vec<(u16, u32, bool)> = (0..1 + rng.below(atoms))
                         .map(|_| {
                             let rel = rng.below(3) as u16;
                             let row = ROWS[rng.below(ROWS.len() as u64) as usize];
-                            (rel, row, rng.below(2) == 1)
+                            (rel, row, all_delta || rng.below(2) == 1)
                         })
                         .collect();
                     assignment(rng.below(4) as usize, &body)
                 })
                 .collect();
-            (0..rng.below(40))
+            (0..rng.below(len + 1))
                 .map(|_| pool[rng.below(pool.len() as u64) as usize].clone())
                 .collect()
         })
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(512))]
+        #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// The arena pipeline yields the reference's clause count,
-        /// universe and CNF, clause by clause.
+        /// universe and CNF, clause by clause, whether the stream arrives
+        /// as drawn, sorted or reversed.
         #[test]
         fn arena_matches_reference_pipeline(stream in arb_stream()) {
-            let f = formula(&stream);
             let (len, universe, cnf) = reference_cnf(&stream);
-            prop_assert_eq!(f.len(), len);
-            prop_assert_eq!(f.universe(), &universe[..]);
-            let got = f.negated_cnf();
-            prop_assert_eq!(got.num_vars(), cnf.num_vars());
-            prop_assert_eq!(
-                got.clauses().collect::<Vec<_>>(),
-                cnf.clauses().collect::<Vec<_>>()
-            );
+            let expected: Vec<&[Lit]> = cnf.clauses().collect();
+            let mut sorted = stream.clone();
+            sorted.sort_by_key(|a| a.body.iter().map(|b| (b.tid, b.is_delta)).collect::<Vec<_>>());
+            let reversed: Vec<Assignment> = stream.iter().rev().cloned().collect();
+            for (order, s) in [("drawn", &stream), ("sorted", &sorted), ("reversed", &reversed)] {
+                let f = formula(s);
+                prop_assert_eq!(f.len(), len, "{}", order);
+                prop_assert_eq!(f.universe(), &universe[..], "{}", order);
+                let got = f.negated_cnf();
+                prop_assert_eq!(got.num_vars(), cnf.num_vars(), "{}", order);
+                prop_assert_eq!(got.clauses().collect::<Vec<_>>(), expected.clone(), "{}", order);
+            }
         }
     }
 
@@ -468,7 +557,8 @@ mod tests {
     fn sort_key_orders_like_the_sides() {
         // Shorter-prefix sides sort first (terminator 0 < any rank + 1),
         // and a clause past four symbols falls back to the full compare.
-        let clauses: [(&[u32], &[u32]); 6] = [
+        let clauses: [(&[u32], &[u32]); 7] = [
+            (&[], &[]),
             (&[], &[0]),
             (&[0], &[]),
             (&[0], &[1]),
@@ -481,9 +571,21 @@ mod tests {
             assert!(sort_key(w[0].0, w[0].1) <= sort_key(w[1].0, w[1].1));
         }
         assert_eq!(
-            sort_key(clauses[4].0, clauses[4].1),
-            sort_key(clauses[5].0, clauses[5].1)
+            sort_key(clauses[5].0, clauses[5].1),
+            sort_key(clauses[6].0, clauses[6].1)
         );
+        // Clauses of at most two tuples decode from their keys alone.
+        for (pos, neg) in &clauses[..5] {
+            let k = sort_key(pos, neg);
+            let (pos_end, neg_end) = terminators(&k).expect("whole clause in the key");
+            let ranks = k.map(|s| s.wrapping_sub(1));
+            assert_eq!(
+                (&ranks[..pos_end], &ranks[pos_end + 1..neg_end]),
+                (*pos, *neg)
+            );
+        }
+        assert_eq!(terminators(&sort_key(clauses[5].0, clauses[5].1)), None);
+        assert_eq!(terminators(&sort_key(&[0, 1, 2], &[])), None);
     }
 
     #[test]
@@ -535,11 +637,18 @@ mod tests {
         // Clause: pos {A}, neg {B}: satisfied iff A kept and B deleted.
         let a = assignment(0, &[(0, 0, false), (0, 1, true)]);
         let f = formula([&a]);
-        let none: HashSet<TupleId> = HashSet::new();
-        assert!(f.stable_under(&none), "B not deleted: clause unsatisfied");
-        let b_only: HashSet<TupleId> = [tid(0, 1)].into_iter().collect();
-        assert!(!f.stable_under(&b_only), "A present, B deleted: violated");
-        let both: HashSet<TupleId> = [tid(0, 0), tid(0, 1)].into_iter().collect();
-        assert!(f.stable_under(&both), "deleting A voids the assignment");
+        assert_eq!(f.universe(), [tid(0, 0), tid(0, 1)]);
+        assert!(
+            f.stable_under(&[false, false]),
+            "B not deleted: clause unsatisfied"
+        );
+        assert!(
+            !f.stable_under(&[false, true]),
+            "A present, B deleted: violated"
+        );
+        assert!(
+            f.stable_under(&[true, true]),
+            "deleting A voids the assignment"
+        );
     }
 }

@@ -79,10 +79,18 @@ impl Default for Cnf {
 impl Cnf {
     /// CNF over `n_vars` variables.
     pub fn new(n_vars: usize) -> Cnf {
+        Cnf::with_capacity(n_vars, 0, 0)
+    }
+
+    /// CNF over `n_vars` variables with room for `clauses` clauses of
+    /// `lits` literals in total, for a caller that knows the final size.
+    pub fn with_capacity(n_vars: usize, clauses: usize, lits: usize) -> Cnf {
+        let mut offsets = Vec::with_capacity(clauses + 1);
+        offsets.push(0);
         Cnf {
             n_vars,
-            offsets: vec![0],
-            lits: Vec::new(),
+            offsets,
+            lits: Vec::with_capacity(lits),
             has_empty_clause: false,
             scratch: Vec::new(),
         }

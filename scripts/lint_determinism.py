@@ -36,13 +36,12 @@ TOKEN = re.compile(r"\bHash(Map|Set)\b")
 ALLOWLIST = {
     "crates/core/src/end.rs": 2,
     "crates/core/src/engine.rs": 5,
-    "crates/core/src/independent.rs": 1,
     "crates/core/src/session.rs": 2,
     "crates/core/src/step.rs": 4,
     "crates/datalog/src/eval.rs": 2,
     "crates/datalog/src/validate.rs": 2,
     "crates/provenance/src/explain.rs": 9,
-    "crates/provenance/src/formula.rs": 8,
+    "crates/provenance/src/formula.rs": 3,
     "crates/provenance/src/graph.rs": 7,
     "crates/sat/src/minones.rs": 0,
     "crates/storage/src/hash.rs": 3,
