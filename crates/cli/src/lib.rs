@@ -698,14 +698,21 @@ pub fn run_session(opts: &Options, session: &mut RepairSession) -> Result<RunOut
             request = request.threads(n);
         }
         let r = session.repair(&request).map_err(CliError::Repair)?;
+        // The lazy Independent loop's check rounds; a request the end
+        // fixpoint served under a certificate ran none.
+        let rounds = match r.optimality().rounds {
+            0 => String::new(),
+            n => format!("  rounds {n}"),
+        };
         let _ = writeln!(
             report,
-            "{:<12} |S| = {:<6} eval {:>9.2?}  process {:>9.2?}  solve {:>9.2?}{}",
+            "{:<12} |S| = {:<6} eval {:>9.2?}  process {:>9.2?}  solve {:>9.2?}{}{}",
             sem.to_string(),
             r.size(),
             r.breakdown().eval,
             r.breakdown().process,
             r.breakdown().solve,
+            rounds,
             if r.proven_optimal() {
                 ""
             } else {
@@ -1146,6 +1153,19 @@ delta AuthGrant(a, g) :- AuthGrant(a, g), delta Grant(g, n).
         }
         assert!(out.report.contains("independent"));
         assert!(out.report.contains("|S| = 3"));
+    }
+
+    #[test]
+    fn independent_line_reports_check_rounds() {
+        // Not a pure cascade, so the lazy loop serves it: round 1 finds
+        // both ERC grant links, deleting Grant(2, ERC) hits both, and
+        // round 2 confirms it stabilizes.
+        let mut opts = base_opts();
+        opts.semantics = Some(Semantics::Independent);
+        let rules = "delta AuthGrant(a, g) :- AuthGrant(a, g), Grant(g, n), n = 'ERC'.\n";
+        let out = run(&opts, DB, rules).unwrap();
+        assert!(out.report.contains("|S| = 1"), "{}", out.report);
+        assert!(out.report.contains("rounds 2"), "{}", out.report);
     }
 
     #[test]

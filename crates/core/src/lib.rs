@@ -9,7 +9,7 @@
 //! | [`end`]         | Def. 3.10 | semi-naive datalog fixpoint over frozen base relations; deletions applied at the end; also records every assignment and each delta tuple's derivation round (the provenance stream) |
 //! | [`stage`]       | Def. 3.7  | staged evaluation: derive all delta tuples of a stage against the previous state, then delete, to fixpoint |
 //! | [`step`]        | Def. 3.5, Alg. 2 | greedy max-benefit traversal of the layered provenance graph, plus an exact exponential search for small instances |
-//! | [`independent`] | Def. 3.3, Alg. 1 | provenance Boolean formula → negation → Min-Ones SAT, plus an exact subset-enumeration reference |
+//! | [`independent`] | Def. 3.3, Alg. 1 | provenance Boolean formula → negation → Min-Ones SAT; the lazy loop sessions serve it with, which solves only a pool of that formula's clauses grown from violations; an exact subset-enumeration reference |
 //! | [`stability`]   | Def. 3.12/3.14 | stability of a state and verification of stabilizing sets |
 //! | [`relationships`] | Prop. 3.20, Table 3 | containment/size relations between results |
 //!

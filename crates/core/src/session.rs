@@ -120,18 +120,19 @@ impl RepairRequest {
     }
 
     /// Decision-node budget for the Min-Ones search (independent
-    /// semantics). Must be positive; `u64::MAX` means "search to proven
-    /// optimality".
+    /// semantics), per component of each round's solve. Must be positive;
+    /// `u64::MAX` means "search to proven optimality".
     pub fn node_budget(mut self, nodes: u64) -> RepairRequest {
         self.node_budget = nodes;
         self
     }
 
-    /// Wall-clock budget. Checked between the phases of Algorithm 1: when
-    /// evaluation and provenance processing already exhausted it, the solve
-    /// phase degrades to a fast first-solution descent (still stabilizing,
-    /// marked [`OptimalityCertificate::TimeBudgetExhausted`]). The PTIME
-    /// semantics ignore it. Must be non-zero.
+    /// Wall-clock budget for Independent. Checked after each check round of
+    /// the lazy loop ([`crate::independent::serve`]) that found violations:
+    /// once exhausted, the current candidate is closed into a stabilizing
+    /// (not necessarily minimum) set, marked
+    /// [`OptimalityCertificate::TimeBudgetExhausted`]. The PTIME semantics
+    /// ignore it. Must be non-zero.
     pub fn time_budget(mut self, budget: Duration) -> RepairRequest {
         self.time_budget = Some(budget);
         self
@@ -286,8 +287,8 @@ pub enum OptimalityCertificate {
     /// The decision-node budget ran out before the search completed; the
     /// incumbent was returned.
     NodeBudgetExhausted,
-    /// The wall-clock budget ran out before the solve phase; the fast
-    /// first-solution descent was returned.
+    /// The wall-clock budget ran out before the search completed; a
+    /// stabilizing set was returned without a minimality proof.
     TimeBudgetExhausted,
     /// The request was served by the end-semantics fixpoint under a static
     /// semantics-equivalence certificate (`datalog::lint::certify`): the
@@ -307,8 +308,13 @@ pub struct Optimality {
     pub sat_decisions: u64,
     /// Connected components solved (independent only).
     pub sat_components: usize,
-    /// CNF clauses after deduplication (independent only).
+    /// CNF clauses after deduplication (independent only). Sessions serve
+    /// Independent through the lazy loop ([`crate::independent::serve`]),
+    /// so this counts the clauses of its final pool, not of the full `¬F`
+    /// Algorithm 1 would build.
     pub cnf_clauses: usize,
+    /// Check rounds of the lazy Independent loop (independent only).
+    pub rounds: u32,
 }
 
 impl Optimality {
@@ -319,6 +325,7 @@ impl Optimality {
             sat_decisions: 0,
             sat_components: 0,
             cnf_clauses: 0,
+            rounds: 0,
         }
     }
 }
@@ -1371,12 +1378,13 @@ pub(crate) fn run_semantics(
                     sat_decisions: 0,
                     sat_components: 0,
                     cnf_clauses: 0,
+                    rounds: 0,
                 },
                 provenance,
             )
         }
         Semantics::Independent => {
-            let out = independent::run_with_deadline(db, ev, minones, deadline);
+            let out = independent::serve(db, ev, minones, deadline);
             let certificate = if out.timed_out {
                 OptimalityCertificate::TimeBudgetExhausted
             } else if !out.optimal {
@@ -1398,7 +1406,8 @@ pub(crate) fn run_semantics(
                     certificate,
                     sat_decisions: out.sat_stats.decisions,
                     sat_components: out.sat_stats.components,
-                    cnf_clauses: out.cnf_clauses,
+                    cnf_clauses: out.formula.len(),
+                    rounds: out.rounds,
                 },
                 None,
             )
@@ -1629,8 +1638,31 @@ mod tests {
             OptimalityCertificate::SearchComplete
         );
         assert!(ind.optimality().cnf_clauses > 0);
-        // Starved node budget: incumbent returned, certificate says so.
-        let starved = s
+        assert!(ind.optimality().rounds > 1);
+        // Starved node budget: incumbent returned, certificate says so. The
+        // running example's clause pools are solved at the root, so this
+        // runs on a vertex cover of a 5-cycle, which needs a search.
+        let mut schema = storage::Schema::new();
+        schema.relation("V", &[("x", storage::AttrType::Int)]);
+        schema.relation(
+            "E",
+            &[("x", storage::AttrType::Int), ("y", storage::AttrType::Int)],
+        );
+        let mut db = Instance::new(schema);
+        for v in 0..5 {
+            db.insert_values("V", [storage::Value::Int(v)]).unwrap();
+            db.insert_values(
+                "E",
+                [storage::Value::Int(v), storage::Value::Int((v + 1) % 5)],
+            )
+            .unwrap();
+        }
+        let program = datalog::parse_program("delta V(x) :- V(x), E(x, y), V(y).").unwrap();
+        let cycle = RepairSession::new(db, program).unwrap();
+        let proven = cycle.run(Semantics::Independent);
+        assert!(proven.proven_optimal());
+        assert_eq!(proven.size(), 3);
+        let starved = cycle
             .repair(&RepairRequest::new(Semantics::Independent).node_budget(1))
             .unwrap();
         assert!(!starved.proven_optimal());
@@ -1638,7 +1670,7 @@ mod tests {
             starved.optimality().certificate,
             OptimalityCertificate::NodeBudgetExhausted
         );
-        assert!(s.verify_stabilizing(starved.deleted()));
+        assert!(cycle.verify_stabilizing(starved.deleted()));
     }
 
     #[test]

@@ -121,7 +121,7 @@ pub struct ProvFormula {
 ///
 /// [`add`]: ProvFormulaBuilder::add
 /// [`finish`]: ProvFormulaBuilder::finish
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct ProvFormulaBuilder {
     clauses: Sides<TupleId>,
     /// Scratch for the candidate clause's sides.

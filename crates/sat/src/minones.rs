@@ -53,6 +53,18 @@ pub struct Stats {
     pub largest_component: usize,
 }
 
+impl Stats {
+    /// Fold another solve's statistics into these: counts add up, the
+    /// largest component is the larger of the two.
+    pub fn absorb(&mut self, other: &Stats) {
+        self.decisions += other.decisions;
+        self.simplified += other.simplified;
+        self.dominated += other.dominated;
+        self.components += other.components;
+        self.largest_component = self.largest_component.max(other.largest_component);
+    }
+}
+
 /// A satisfying assignment minimizing the number of `True` variables.
 #[derive(Clone, Debug)]
 pub struct Solution {

@@ -18,7 +18,7 @@
 //!
 //! | semantics | flavour | complexity |
 //! |-----------|---------|------------|
-//! | [`Semantics::Independent`] | global minimum repair (denial constraints) | NP-hard (Alg. 1: provenance → Min-Ones SAT) |
+//! | [`Semantics::Independent`] | global minimum repair (denial constraints) | NP-hard (Alg. 1: provenance → Min-Ones SAT, served lazily from violations) |
 //! | [`Semantics::Step`] | one rule firing at a time, minimum sequence (row triggers, causal rules) | NP-hard (Alg. 2: greedy provenance-graph traversal) |
 //! | [`Semantics::Stage`] | semi-naive rounds, delete per round (statement triggers) | PTIME |
 //! | [`Semantics::End`] | derive everything, delete at the end (plain datalog) | PTIME |

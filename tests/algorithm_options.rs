@@ -85,8 +85,8 @@ fn tiny_budget_reports_non_optimal_when_cut() {
     assert!(s.verify_stabilizing(r.deleted()));
 }
 
-/// A vanishing time budget degrades the solve phase to the first-solution
-/// descent — still stabilizing, certified as time-cut.
+/// A vanishing time budget closes the lazy loop's first candidate into a
+/// stabilizing set — not proven minimum, certified as time-cut.
 #[test]
 fn exhausted_time_budget_degrades_gracefully() {
     let s = session();

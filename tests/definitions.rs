@@ -1,0 +1,311 @@
+//! A definitional oracle for independent semantics, written straight from
+//! the paper's text over plain tuple vectors. It shares no engine code: no
+//! parser, evaluator, provenance formula or solver. Rules are data here and
+//! are rendered to source text only to hand them to the engine.
+//!
+//! * Def. 3.12 (stability): `(D \ S) ∪ Δ(S)` is stable when no rule has an
+//!   assignment mapping its base atoms to tuples of `D \ S` and its delta
+//!   atoms to tuples of `S`, agreeing on variables and constants, with
+//!   every comparison true.
+//! * Def. 3.3 (independent): `Ind(P, D)` is a smallest `S` that is
+//!   stabilizing, found here by enumerating subsets of `D` in increasing
+//!   size.
+//!
+//! The property: every Independent outcome marked `proven_optimal` — the
+//! served lazy loop, the same request with the static certificates on, and
+//! Algorithm 1 itself — has the oracle's size and is stabilizing by the
+//! oracle's own check.
+
+use delta_repairs::sat::MinOnesOptions;
+use delta_repairs::{
+    independent, parse_program, AttrType, Instance, RepairRequest, RepairSession, Schema,
+    Semantics, TupleId, Value,
+};
+use proptest::prelude::*;
+
+/// Relations and their arities.
+const RELS: [(&str, usize); 3] = [("R", 1), ("S", 2), ("T", 1)];
+const R: usize = 0;
+const S: usize = 1;
+const T: usize = 2;
+
+#[derive(Clone, Copy, Debug)]
+enum Term {
+    Var(usize),
+    Const(i64),
+}
+use Term::{Const, Var};
+
+#[derive(Clone, Copy, Debug)]
+enum Op {
+    Eq,
+    Ne,
+    Lt,
+}
+
+/// A body atom: a relation, its delta flag and its argument terms.
+#[derive(Clone, Copy, Debug)]
+struct Atom {
+    rel: usize,
+    delta: bool,
+    args: &'static [Term],
+}
+
+/// `delta head :- body, cmps`. The head repeats its first body atom, the
+/// head witness, so only the body matters to stability.
+#[derive(Clone, Copy, Debug)]
+struct Rule {
+    body: &'static [Atom],
+    cmps: &'static [(Term, Op, Term)],
+}
+
+const fn base(rel: usize, args: &'static [Term]) -> Atom {
+    Atom {
+        rel,
+        delta: false,
+        args,
+    }
+}
+
+const fn delta(rel: usize, args: &'static [Term]) -> Atom {
+    Atom {
+        rel,
+        delta: true,
+        args,
+    }
+}
+
+const X: Term = Var(0);
+const Y: Term = Var(1);
+
+/// Seeds, DC-style joins, comparisons, and Δ-cascades R → S → T → R in
+/// both directions (recursive programs).
+const RULE_POOL: [Rule; 10] = [
+    Rule {
+        body: &[base(R, &[X])],
+        cmps: &[(X, Op::Eq, Const(0))],
+    },
+    Rule {
+        body: &[base(R, &[X]), base(S, &[X, Y]), base(T, &[Y])],
+        cmps: &[],
+    },
+    Rule {
+        body: &[base(R, &[X]), delta(T, &[Y]), base(S, &[X, Y])],
+        cmps: &[],
+    },
+    Rule {
+        body: &[base(S, &[X, Y]), delta(R, &[X])],
+        cmps: &[],
+    },
+    Rule {
+        body: &[base(S, &[X, Y]), base(T, &[Y])],
+        cmps: &[(X, Op::Ne, Y)],
+    },
+    Rule {
+        body: &[base(T, &[Y]), base(S, &[X, Y]), delta(R, &[X])],
+        cmps: &[],
+    },
+    Rule {
+        body: &[base(T, &[Y]), delta(S, &[X, Y])],
+        cmps: &[],
+    },
+    Rule {
+        body: &[base(S, &[X, Y]), base(R, &[X]), base(R, &[Y])],
+        cmps: &[(X, Op::Lt, Y)],
+    },
+    Rule {
+        body: &[base(T, &[Y]), base(R, &[Y])],
+        cmps: &[],
+    },
+    Rule {
+        body: &[base(R, &[X]), base(S, &[X, X])],
+        cmps: &[],
+    },
+];
+
+/// A database as plain tuples: relation index and values.
+type Tuple = (usize, Vec<i64>);
+
+fn render_term(t: Term) -> String {
+    match t {
+        Var(i) => ["x", "y"][i].to_string(),
+        Const(c) => c.to_string(),
+    }
+}
+
+fn render_atom(a: &Atom) -> String {
+    let args: Vec<String> = a.args.iter().map(|&t| render_term(t)).collect();
+    let delta = if a.delta { "delta " } else { "" };
+    format!("{delta}{}({})", RELS[a.rel].0, args.join(", "))
+}
+
+/// The rule as engine source text.
+fn render(rule: &Rule) -> String {
+    let head = render_atom(&rule.body[0]);
+    let mut body: Vec<String> = rule.body.iter().map(render_atom).collect();
+    for &(l, op, r) in rule.cmps {
+        let op = match op {
+            Op::Eq => "=",
+            Op::Ne => "!=",
+            Op::Lt => "<",
+        };
+        body.push(format!("{} {op} {}", render_term(l), render_term(r)));
+    }
+    format!("delta {head} :- {}.\n", body.join(", "))
+}
+
+/// Does `rule` have an assignment in the state where the tuples flagged in
+/// `deleted` sit in their delta relations and the others in their base
+/// relations? Backtracking over body atoms, in order.
+fn fires(rule: &Rule, db: &[Tuple], deleted: &[bool]) -> bool {
+    fn value(t: Term, bind: &[Option<i64>; 2]) -> Option<i64> {
+        match t {
+            Var(i) => bind[i],
+            Const(c) => Some(c),
+        }
+    }
+    fn extend(
+        rule: &Rule,
+        k: usize,
+        db: &[Tuple],
+        deleted: &[bool],
+        bind: [Option<i64>; 2],
+    ) -> bool {
+        let Some(atom) = rule.body.get(k) else {
+            return rule.cmps.iter().all(|&(l, op, r)| {
+                let (l, r) = (value(l, &bind).unwrap(), value(r, &bind).unwrap());
+                match op {
+                    Op::Eq => l == r,
+                    Op::Ne => l != r,
+                    Op::Lt => l < r,
+                }
+            });
+        };
+        db.iter().zip(deleted).any(|((rel, vals), &del)| {
+            if *rel != atom.rel || del != atom.delta {
+                return false;
+            }
+            let mut bind = bind;
+            for (&t, &v) in atom.args.iter().zip(vals) {
+                match t {
+                    Const(c) if c != v => return false,
+                    Const(_) => {}
+                    Var(i) => match bind[i] {
+                        Some(b) if b != v => return false,
+                        Some(_) => {}
+                        None => bind[i] = Some(v),
+                    },
+                }
+            }
+            extend(rule, k + 1, db, deleted, bind)
+        })
+    }
+    extend(rule, 0, db, deleted, [None; 2])
+}
+
+/// Def. 3.12/3.14: is deleting the flagged tuples stabilizing?
+fn stabilizing(rules: &[Rule], db: &[Tuple], deleted: &[bool]) -> bool {
+    !rules.iter().any(|r| fires(r, db, deleted))
+}
+
+/// Def. 3.3: the size of a smallest stabilizing set, by enumerating the
+/// subsets of `db` in increasing size (`db` itself always stabilizes).
+fn min_stabilizing_size(rules: &[Rule], db: &[Tuple]) -> usize {
+    let n = db.len();
+    (0..=n)
+        .find(|&k| {
+            (0u32..1 << n)
+                .filter(|m| m.count_ones() as usize == k)
+                .any(|m| {
+                    let deleted: Vec<bool> = (0..n).map(|i| m >> i & 1 == 1).collect();
+                    stabilizing(rules, db, &deleted)
+                })
+        })
+        .expect("the whole database is stabilizing")
+}
+
+fn engine_db(db: &[Tuple]) -> (Instance, Vec<TupleId>) {
+    let mut schema = Schema::new();
+    schema.relation("R", &[("x", AttrType::Int)]);
+    schema.relation("S", &[("x", AttrType::Int), ("y", AttrType::Int)]);
+    schema.relation("T", &[("y", AttrType::Int)]);
+    let mut instance = Instance::new(schema);
+    let ids = db
+        .iter()
+        .map(|(rel, vals)| {
+            instance
+                .insert_values(RELS[*rel].0, vals.iter().map(|&v| Value::Int(v)))
+                .expect("schema matches")
+        })
+        .collect();
+    (instance, ids)
+}
+
+prop_compose! {
+    /// At most 14 distinct tuples: up to 4 R values, 6 S pairs and 4 T
+    /// values over 4 constants (dense enough to join).
+    fn arb_db()(
+        r in prop::collection::btree_set(0i64..4, 0..5),
+        s in prop::collection::btree_set((0i64..4, 0i64..4), 0..7),
+        t in prop::collection::btree_set(0i64..4, 0..5),
+    ) -> Vec<Tuple> {
+        r.into_iter().map(|v| (R, vec![v]))
+            .chain(s.into_iter().map(|(a, b)| (S, vec![a, b])))
+            .chain(t.into_iter().map(|v| (T, vec![v])))
+            .collect()
+    }
+}
+
+prop_compose! {
+    /// A random nonempty subset of the rule pool.
+    fn arb_rules()(mask in 1u16..(1 << RULE_POOL.len())) -> Vec<Rule> {
+        RULE_POOL
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| mask & (1 << i) != 0)
+            .map(|(_, &r)| r)
+            .collect()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn proven_independent_outcomes_match_definition_3_3(
+        db in arb_db(),
+        rules in arb_rules(),
+    ) {
+        prop_assert!(db.len() <= 14);
+        let source: String = rules.iter().map(render).collect();
+        let (instance, ids) = engine_db(&db);
+        let session = RepairSession::new(instance, parse_program(&source).expect("well-formed"))
+            .expect("valid");
+        let minimum = min_stabilizing_size(&rules, &db);
+        let oracle_view = |deleted: &[TupleId]| -> Vec<bool> {
+            ids.iter().map(|t| deleted.contains(t)).collect()
+        };
+        let ind = |certificates| {
+            let req = RepairRequest::new(Semantics::Independent).certificates(certificates);
+            let o = session.repair(&req).expect("valid request");
+            (o.proven_optimal(), o.deleted().to_vec())
+        };
+        let eager = independent::run(session.db(), session.evaluator(), &MinOnesOptions::default());
+        for (label, (proven, deleted)) in [
+            ("served", ind(false)),
+            ("certified", ind(true)),
+            ("algorithm 1", (eager.optimal, eager.deleted)),
+        ] {
+            prop_assert!(
+                stabilizing(&rules, &db, &oracle_view(&deleted)),
+                "{}: not stabilizing by Def. 3.12\n{}{:?}", label, source, db
+            );
+            if proven {
+                prop_assert_eq!(
+                    deleted.len(), minimum,
+                    "{}: not a minimum by Def. 3.3\n{}{:?}", label, source, db
+                );
+            }
+        }
+    }
+}
