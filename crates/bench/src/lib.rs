@@ -12,7 +12,7 @@
 //!   and error count (defaults 5000 / 700, the paper's settings).
 
 use datagen::{mas, scale, tpch, MasConfig, MasData, ScaleConfig, ScaleData, TpchConfig, TpchData};
-use repair_core::{RepairRequest, RepairResult, RepairSession, Semantics};
+use repair_core::{RepairResult, RepairSession, Semantics};
 use storage::Instance;
 use workloads::Workload;
 
@@ -163,10 +163,10 @@ pub struct BenchRecord {
     pub mean_ns: f64,
     /// Iterations measured.
     pub iterations: u64,
-    /// Delete-set size of the measured repair, when the group records it.
-    /// The `semantics_scale` group carries it so `scripts/bench_gate.py`
-    /// can assert thread-count parity (every `t*` variant of a workload
-    /// must report the same size).
+    /// Work size of the measured run, when the group records it. The
+    /// `planner` group carries each plan's assignment count so
+    /// `scripts/bench_gate.py` can assert that both plans enumerate the
+    /// same assignments.
     pub size: Option<usize>,
 }
 
@@ -229,7 +229,6 @@ pub fn bench_json_records(quick: bool) -> Vec<BenchRecord> {
         &["tpch-2", "tpch-4", "tpch-5"],
     );
     incremental_rerepair_records(quick, &mut records);
-    semantics_scale_records(quick, &mut records);
     durability_cold_open_records(quick, &mut records);
     planner_records(quick, &mut records);
     records
@@ -302,7 +301,7 @@ fn planner_records(quick: bool, records: &mut Vec<BenchRecord>) {
 /// produce a ready [`Instance`]; everything downstream (session build,
 /// planning) is identical, so the pair isolates exactly what `open_durable`
 /// saves over the pre-durability "reload the TSV" cold start. Measured on
-/// the zipf universe at 10× the `semantics_scale` quick size (override via
+/// the zipf universe at scale 2.5, 0.25 in quick mode (override via
 /// `REPRO_DURABILITY_ZIPF`); gated by `scripts/bench_gate.py
 /// --min-cold-open-speedup`.
 fn durability_cold_open_records(quick: bool, records: &mut Vec<BenchRecord>) {
@@ -353,93 +352,6 @@ fn durability_cold_open_records(quick: bool, records: &mut Vec<BenchRecord>) {
         iterations,
         size: None,
     });
-}
-
-/// The thread counts the `semantics_scale` group measures at.
-pub const SCALE_THREADS: [usize; 4] = [1, 2, 4, 8];
-
-/// The scaled-up workload set of the `semantics_scale` group: the heaviest
-/// tracked MAS and TPC-H workloads at 10× the fig7/fig9b measurement
-/// scales, plus the two zipf-universe programs built for intra-rule
-/// parallelism. Scales override via `REPRO_SCALE_MAS` / `REPRO_SCALE_TPCH`
-/// / `REPRO_SCALE_ZIPF` (e.g. 1.0 / 0.5 / 50.0 for the 50× protocol of
-/// EXPERIMENTS.md); quick mode shrinks everything to CI-smoke size.
-pub fn scale_picks(quick: bool) -> Vec<(String, RepairSession)> {
-    let (mas_s, tpch_s, zipf_s) = if quick {
-        (0.05, 0.02, 0.25)
-    } else {
-        (
-            env_f64("REPRO_SCALE_MAS", 0.2),
-            env_f64("REPRO_SCALE_TPCH", 0.1),
-            env_f64("REPRO_SCALE_ZIPF", 1.0),
-        )
-    };
-    let mut picks: Vec<(String, RepairSession)> = Vec::new();
-    let mas = MasLab::at_scale(mas_s);
-    let tpch = TpchLab::at_scale(tpch_s);
-    let zipf = ZipfLab::at_scale(zipf_s);
-    for (db, workloads, names) in [
-        (&mas.data.db, &mas.workloads, &["mas-08"][..]),
-        (&tpch.data.db, &tpch.workloads, &["tpch-2"][..]),
-        (
-            &zipf.data.db,
-            &zipf.workloads,
-            &["zipf-cascade", "zipf-join"][..],
-        ),
-    ] {
-        for name in names {
-            let w = workloads
-                .iter()
-                .find(|w| w.name == *name)
-                .expect("workload present");
-            picks.push((w.name.clone(), session_for(db, w)));
-        }
-    }
-    picks
-}
-
-/// The `semantics_scale` group: end and independent semantics over the
-/// scaled-up workloads, measured at 1/2/4/8 worker threads inside one
-/// process via [`RepairRequest::threads`]. Each record carries the
-/// delete-set size so the bench gate can assert bit-level parity across
-/// thread counts (the sizes must match; the full differential suites prove
-/// the stronger bit-for-bit property). On a serial (non-`parallel`) build
-/// the thread knob is inert and every `t*` variant measures the serial
-/// path — still a valid parity record, never a speedup one.
-fn semantics_scale_records(quick: bool, records: &mut Vec<BenchRecord>) {
-    use std::time::Duration;
-    let (warm, meas, iters) = if quick {
-        (Duration::from_millis(20), Duration::from_millis(80), 2)
-    } else {
-        (Duration::from_millis(300), Duration::from_millis(1000), 5)
-    };
-    for (name, session) in scale_picks(quick) {
-        for sem in [Semantics::End, Semantics::Independent] {
-            let mut sizes: Vec<usize> = Vec::new();
-            for t in SCALE_THREADS {
-                // Force the full computation (not the incremental
-                // checkpoint) so every thread count measures the same
-                // evaluation work.
-                let request = RepairRequest::new(sem).incremental(false).threads(t);
-                let mut size = 0usize;
-                let (mean_ns, iterations) = measure_mean_ns(warm, meas, iters, || {
-                    size = std::hint::black_box(session.repair(&request).expect("valid").size());
-                });
-                sizes.push(size);
-                records.push(BenchRecord {
-                    bench: format!("semantics_scale/{name}/{}/t{t}", sem.name()),
-                    mean_ns,
-                    iterations,
-                    size: Some(size),
-                });
-            }
-            assert!(
-                sizes.windows(2).all(|w| w[0] == w[1]),
-                "thread-count parity violated for semantics_scale/{name}/{}: {sizes:?}",
-                sem.name()
-            );
-        }
-    }
 }
 
 /// The mutate → re-repair loop a long-lived session serves: delete a ≤1%
@@ -514,8 +426,8 @@ fn civil_date(secs: u64) -> (i64, u32, u32) {
 }
 
 /// Render one mode's records in the committed `BENCH_*.json` layout. Files
-/// with several modes (serial + parallel builds) are produced by one
-/// invocation per mode and merging the `runs` objects; see EXPERIMENTS.md.
+/// with several modes are produced by one invocation per mode and merging
+/// the `runs` objects; see EXPERIMENTS.md.
 pub fn render_bench_json(mode: &str, records: &[BenchRecord]) -> String {
     use std::fmt::Write as _;
     let (y, m, d) = civil_date(
@@ -524,15 +436,14 @@ pub fn render_bench_json(mode: &str, records: &[BenchRecord]) -> String {
             .map(|d| d.as_secs())
             .unwrap_or(0),
     );
-    let hardware = std::env::var("BENCH_JSON_HARDWARE").unwrap_or_else(|_| {
-        "CI container, 1 vCPU (parallel speedup not observable here; see EXPERIMENTS.md)".to_owned()
-    });
+    let hardware = std::env::var("BENCH_JSON_HARDWARE")
+        .unwrap_or_else(|_| "CI container, 1 vCPU (see EXPERIMENTS.md)".to_owned());
     let mut out = String::new();
     out.push_str("{\n \"meta\": {\n");
     let _ = writeln!(out, "  \"date\": \"{y:04}-{m:02}-{d:02}\",");
     let _ = writeln!(out, "  \"hardware\": \"{hardware}\",");
     out.push_str(
-        "  \"benches\": [\n   \"semantics_mas (fig7, scale 0.02)\",\n   \"semantics_tpch (fig9, scale 0.01)\",\n   \"semantics_scale (threads 1/2/4/8, 10x scales)\",\n   \"durability (cold_open vs tsv_ingest, zipf)\",\n   \"planner (static vs cost, zipf-pessimal)\"\n  ],\n");
+        "  \"benches\": [\n   \"semantics_mas (fig7, scale 0.02)\",\n   \"semantics_tpch (fig9, scale 0.01)\",\n   \"durability (cold_open vs tsv_ingest, zipf)\",\n   \"planner (static vs cost, zipf-pessimal)\"\n  ],\n");
     out.push_str("  \"unit\": \"mean_ns per session.run()\"\n },\n \"runs\": {\n");
     let _ = writeln!(out, "  \"{mode}\": [");
     for (i, r) in records.iter().enumerate() {
@@ -631,7 +542,7 @@ mod tests {
                 size: None,
             },
             BenchRecord {
-                bench: "semantics_scale/zipf-join/end/t4".into(),
+                bench: "planner/cost/zipf-pessimal".into(),
                 mean_ns: 9.0,
                 iterations: 3,
                 size: Some(77),

@@ -161,10 +161,6 @@ pub struct Options {
     pub why: Option<String>,
     /// Emit the Figure-5 provenance graph as Graphviz DOT.
     pub dot: bool,
-    /// Worker-thread override for every repair computation (`None` = the
-    /// `DELTA_REPAIRS_THREADS` / logical-CPU process default). Validated at
-    /// parse time: `--threads 0` is a usage error (exit 2).
-    pub threads: Option<usize>,
 }
 
 /// Usage string printed on `--help` and argument errors.
@@ -191,10 +187,6 @@ OPTIONS:
     --triggers ORDER   also run SQL-trigger simulation: alphabetical | creation
     --why TUPLE        print the derivation tree for a tuple, e.g. --why 'Pub(6, x)'
     --dot              print the provenance graph in Graphviz DOT format
-    --threads N        worker threads per repair (N ≥ 1; overrides
-                       DELTA_REPAIRS_THREADS; default: that variable, else
-                       all logical CPUs; needs a `parallel`-feature build to
-                       actually fan out — results are identical either way)
     --help             this text
 
 LINT SUBCOMMAND:
@@ -245,7 +237,6 @@ where
     let mut triggers = None;
     let mut why = None;
     let mut dot = false;
-    let mut threads = None;
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         let arg = arg.as_ref();
@@ -281,18 +272,6 @@ where
             "--explain" => explain = true,
             "--why" => why = Some(value_for("--why")?),
             "--dot" => dot = true,
-            "--threads" => {
-                let raw = value_for("--threads")?;
-                let n: usize = raw.parse().map_err(|_| {
-                    CliError::Usage(format!("--threads needs a positive integer, got `{raw}`"))
-                })?;
-                if n == 0 {
-                    return Err(CliError::Usage(
-                        "--threads must be ≥ 1 (omit it to use the process default)".into(),
-                    ));
-                }
-                threads = Some(n);
-            }
             "--triggers" => {
                 triggers = Some(match value_for("--triggers")?.as_str() {
                     "alphabetical" | "postgres" | "postgresql" => FiringOrder::Alphabetical,
@@ -329,7 +308,6 @@ where
         triggers,
         why,
         dot,
-        threads,
     })
 }
 
@@ -693,11 +671,9 @@ pub fn run_session(opts: &Options, session: &mut RepairSession) -> Result<RunOut
     };
     let mut results = Vec::with_capacity(wanted.len());
     for sem in &wanted {
-        let mut request = RepairRequest::new(*sem);
-        if let Some(n) = opts.threads {
-            request = request.threads(n);
-        }
-        let r = session.repair(&request).map_err(CliError::Repair)?;
+        let r = session
+            .repair(&RepairRequest::new(*sem))
+            .map_err(CliError::Repair)?;
         // The lazy Independent loop's check rounds; a request the end
         // fixpoint served under a certificate ran none.
         let rounds = match r.optimality().rounds {
@@ -828,7 +804,6 @@ delta AuthGrant(a, g) :- AuthGrant(a, g), delta Grant(g, n).
             triggers: None,
             why: None,
             dot: false,
-            threads: None,
         }
     }
 
@@ -855,33 +830,12 @@ delta AuthGrant(a, g) :- AuthGrant(a, g), delta Grant(g, n).
     }
 
     #[test]
-    fn threads_flag_parses_and_validates() {
-        let opts = parse_args(["--db", "d", "--program", "p", "--threads", "4"]).unwrap();
-        assert_eq!(opts.threads, Some(4));
-        // `--threads 0` and garbage are usage errors: exit code 2.
-        let zero = parse_args(["--db", "d", "--program", "p", "--threads", "0"]).unwrap_err();
-        assert!(matches!(zero, CliError::Usage(_)));
-        assert_eq!(zero.exit_code(), 2);
-        let junk = parse_args(["--db", "d", "--program", "p", "--threads", "many"]).unwrap_err();
-        assert_eq!(junk.exit_code(), 2);
-        let missing = parse_args(["--db", "d", "--program", "p", "--threads"]).unwrap_err();
-        assert_eq!(missing.exit_code(), 2);
-        // An explicit thread count flows through the whole run and changes
-        // nothing about the results.
-        let mut opts = base_opts();
-        opts.threads = Some(2);
-        let out = run(&opts, DB, RULES).unwrap();
-        assert_eq!(out.results.len(), 4);
-        for r in &out.results {
-            assert_eq!(r.size(), 3, "{}", r.semantics());
-        }
-    }
-
-    #[test]
     fn parse_args_errors() {
         assert!(parse_args(["--db", "x"]).is_err(), "missing --program");
         assert!(parse_args(["--program", "x"]).is_err(), "missing --db");
-        assert!(parse_args(["--db"]).is_err(), "missing value");
+        let missing = parse_args(["--db", "d", "--program"]).unwrap_err();
+        assert!(matches!(missing, CliError::Usage(_)), "missing value");
+        assert_eq!(missing.exit_code(), 2);
         assert!(parse_args(["--semantics", "vibes", "--db", "a", "--program", "b"]).is_err());
         assert!(parse_args(["--frobnicate"]).is_err());
         assert!(parse_args(["--help"]).is_err(), "help via Err(Help)");
@@ -1183,6 +1137,22 @@ delta AuthGrant(a, g) :- AuthGrant(a, g), delta Grant(g, n).
         // The applied document is itself loadable and stable.
         let repaired = tsv::load_document(&doc).unwrap();
         assert_eq!(repaired.total_rows(), 2);
+    }
+
+    #[test]
+    fn run_matches_non_ascii_string_constants() {
+        let db = "# relation Grant(gid: int, name: string)\n1\tNSF\n3\tZürich\n";
+        let mut opts = base_opts();
+        opts.semantics = Some(Semantics::End);
+        opts.apply = Some("out.tsv".into());
+        opts.explain = true;
+        let rules = "delta Grant(g, n) :- Grant(g, n), n = 'Zürich'.";
+        let out = run(&opts, db, rules).unwrap();
+        assert_eq!(out.results[0].size(), 1, "{}", out.report);
+        assert!(out.report.contains("- Grant(3, Zürich)"), "{}", out.report);
+        let doc = out.applied.expect("apply requested");
+        assert!(doc.contains("1\tNSF"));
+        assert!(!doc.contains("Zürich"), "{doc}");
     }
 
     #[test]

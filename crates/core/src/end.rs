@@ -45,14 +45,7 @@ impl From<FixpointOutcome> for EndOutcome {
 /// Run end semantics: the engine's semi-naive [`DeltaPolicy::AtEnd`]
 /// fixpoint, recording the assignment stream Algorithm 2 consumes.
 pub fn run(db: &Instance, ev: &Evaluator) -> EndOutcome {
-    run_threads(db, ev, None)
-}
-
-/// [`run`] with an explicit worker-thread override for the parallel build
-/// (`None` = process default; results are bit-identical at every count).
-pub fn run_threads(db: &Instance, ev: &Evaluator, threads: Option<usize>) -> EndOutcome {
     FixpointDriver::new(ev, DeltaPolicy::AtEnd { naive: false })
-        .threads(threads)
         .run(db)
         .into()
 }

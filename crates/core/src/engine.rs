@@ -20,14 +20,6 @@
 //! `AtEnd { naive: true }` keeps the paper prototype's naive re-enumeration
 //! as the ablation baseline. `PerStage` must re-enumerate in full each
 //! round anyway, because applied deletions change which assignments exist.
-//!
-//! With the `parallel` feature enabled (and more than one worker allowed by
-//! [`FixpointDriver::threads`] / `DELTA_REPAIRS_THREADS`), each round's
-//! plans are sliced into fixed-size **morsels** of their driver domains and
-//! dispatched to a worker pool from a shared atomic cursor; the per-morsel
-//! streams are merged in `(rule, plan, morsel)` order, so results —
-//! including the assignment stream, layer numbers and round counts — are
-//! bit-for-bit identical to serial runs at every thread count.
 
 use datalog::{Assignment, DeltaFrontier, EvalScratch, Evaluator, Mode};
 use provenance::SupportIndex;
@@ -96,12 +88,6 @@ pub struct FixpointDriver<'e> {
     ev: &'e Evaluator,
     policy: DeltaPolicy,
     record: bool,
-    /// Worker-thread override for the parallel build; `None` falls back to
-    /// the process-wide default (`DELTA_REPAIRS_THREADS` / logical CPUs).
-    /// Stored but inert in serial builds, so the knob is API-stable across
-    /// feature sets.
-    #[cfg_attr(not(feature = "parallel"), allow(dead_code))]
-    threads: Option<usize>,
 }
 
 impl<'e> FixpointDriver<'e> {
@@ -113,24 +99,12 @@ impl<'e> FixpointDriver<'e> {
             ev,
             policy,
             record: matches!(policy, DeltaPolicy::AtEnd { .. }),
-            threads: None,
         }
     }
 
     /// Override assignment-stream recording.
     pub fn record_assignments(mut self, on: bool) -> FixpointDriver<'e> {
         self.record = on;
-        self
-    }
-
-    /// Override the worker-thread count every enumeration round of this
-    /// driver uses (morsel-driven parallel evaluation, `parallel` feature).
-    /// `Some(1)` forces serial execution; `None` (the default) uses the
-    /// process-wide `DELTA_REPAIRS_THREADS` / logical-CPU default. Results
-    /// are bit-identical at every thread count; in serial builds the knob
-    /// is accepted and ignored.
-    pub fn threads(mut self, threads: Option<usize>) -> FixpointDriver<'e> {
-        self.threads = threads;
         self
     }
 
@@ -294,8 +268,8 @@ impl<'e> FixpointDriver<'e> {
         }
     }
 
-    /// Enumerate one round, serially or in parallel, feeding assignments to
-    /// `f` in deterministic `(rule, head, body)` order either way.
+    /// Enumerate one round, feeding assignments to `f` in deterministic
+    /// `(rule, head, body)` order.
     fn enumerate(
         &self,
         db: &Instance,
@@ -305,23 +279,6 @@ impl<'e> FixpointDriver<'e> {
         mut f: impl FnMut(&Assignment),
     ) {
         let mode = self.policy.mode();
-        #[cfg(feature = "parallel")]
-        {
-            let threads = self.threads.unwrap_or_else(datalog::eval_threads);
-            if threads > 1 {
-                let scope = match round {
-                    Round::Full => datalog::ParScope::All,
-                    Round::Base => datalog::ParScope::BaseRules,
-                    Round::Frontier(fr) => datalog::ParScope::Frontier(fr),
-                    Round::Seeded(seed) => datalog::ParScope::Seeded(seed),
-                };
-                // Streaming fold: morsel outputs are consumed in task order
-                // as they complete, never materializing the round's stream.
-                self.ev
-                    .par_for_each(db, state, mode, scope, threads, &mut |a| f(a));
-                return;
-            }
-        }
         let mut cb = |a: &Assignment| {
             f(a);
             true

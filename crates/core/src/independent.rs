@@ -56,35 +56,14 @@ pub struct IndependentOutcome {
 /// Run Algorithm 1 with the given solver options.
 pub fn run(db: &Instance, ev: &Evaluator, opts: &MinOnesOptions) -> IndependentOutcome {
     // Phase 1: Eval — provenance of all possible delta tuples, folded into
-    // clauses as they stream out of the evaluator. With a parallel build
-    // and more than one worker allowed, the hypothetical enumeration runs
-    // morsel-parallel and completed morsels stream into the builder in
-    // deterministic task order (no whole-stream materialization); the
-    // serial path streams straight into the builder as before.
+    // clauses as they stream out of the evaluator.
     let t0 = Instant::now();
     let state0 = db.initial_state();
     let mut builder = ProvFormulaBuilder::new();
-    #[cfg(feature = "parallel")]
-    let streamed_serially = opts.threads <= 1;
-    #[cfg(not(feature = "parallel"))]
-    let streamed_serially = true;
-    if streamed_serially {
-        ev.for_each_assignment(db, &state0, Mode::Hypothetical, &mut |a| {
-            builder.add(a);
-            true
-        });
-    }
-    #[cfg(feature = "parallel")]
-    if !streamed_serially {
-        ev.par_for_each(
-            db,
-            &state0,
-            Mode::Hypothetical,
-            datalog::ParScope::All,
-            opts.threads,
-            &mut |a| builder.add(a),
-        );
-    }
+    ev.for_each_assignment(db, &state0, Mode::Hypothetical, &mut |a| {
+        builder.add(a);
+        true
+    });
     let eval = t0.elapsed();
 
     // Phase 2: Process Prov — rank the tuples, order and deduplicate the
@@ -198,9 +177,7 @@ pub fn serve(
         breakdown.process += t.elapsed();
         if deadline.is_some_and(|d| Instant::now() >= d) {
             let t = Instant::now();
-            let closed = FixpointDriver::new(ev, DeltaPolicy::PerStage)
-                .threads(Some(1))
-                .run_from(db, state);
+            let closed = FixpointDriver::new(ev, DeltaPolicy::PerStage).run_from(db, state);
             breakdown.eval += t.elapsed();
             (state, deleted) = (closed.state, closed.deleted);
             (optimal, timed_out) = (false, true);

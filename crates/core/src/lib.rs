@@ -5,7 +5,7 @@
 //!
 //! | module | paper | what it computes |
 //! |--------|-------|------------------|
-//! | [`engine`]      | Defs. 3.7/3.10/3.12 | the shared fixpoint driver: one semi-naive/round-based loop parameterized by a [`engine::DeltaPolicy`] (when deletions are applied), optionally morsel-parallel inside every rule |
+//! | [`engine`]      | Defs. 3.7/3.10/3.12 | the shared fixpoint driver: one semi-naive/round-based loop parameterized by a [`engine::DeltaPolicy`] (when deletions are applied) |
 //! | [`end`]         | Def. 3.10 | semi-naive datalog fixpoint over frozen base relations; deletions applied at the end; also records every assignment and each delta tuple's derivation round (the provenance stream) |
 //! | [`stage`]       | Def. 3.7  | staged evaluation: derive all delta tuples of a stage against the previous state, then delete, to fixpoint |
 //! | [`step`]        | Def. 3.5, Alg. 2 | greedy max-benefit traversal of the layered provenance graph, plus an exact exponential search for small instances |

@@ -92,7 +92,6 @@ pub struct RepairRequest {
     first_solution_only: bool,
     incremental: bool,
     certificates: bool,
-    threads: Option<usize>,
 }
 
 impl RepairRequest {
@@ -109,7 +108,6 @@ impl RepairRequest {
             first_solution_only: false,
             incremental: true,
             certificates: true,
-            threads: None,
         }
     }
 
@@ -190,23 +188,6 @@ impl RepairRequest {
         self.certificates
     }
 
-    /// Worker threads for this request's evaluation rounds and Min-Ones
-    /// component solving (morsel-driven parallelism, `parallel` feature).
-    /// Overrides the process-wide `DELTA_REPAIRS_THREADS` default; `1`
-    /// forces serial execution. Results are bit-identical at every thread
-    /// count. Must be positive — `threads(0)` is rejected as
-    /// [`RepairError::InvalidRequest`]. In serial builds the knob is
-    /// accepted, validated and otherwise ignored.
-    pub fn threads(mut self, threads: usize) -> RepairRequest {
-        self.threads = Some(threads);
-        self
-    }
-
-    /// The requested worker-thread override, if any.
-    pub fn threads_value(&self) -> Option<usize> {
-        self.threads
-    }
-
     /// Is incremental serving allowed?
     pub fn incremental_value(&self) -> bool {
         self.incremental
@@ -228,26 +209,7 @@ impl RepairRequest {
                 "time_budget must be non-zero (omit it to search without a deadline)".into(),
             ));
         }
-        if self.threads == Some(0) {
-            return Err(RepairError::InvalidRequest(
-                "threads must be positive (omit it to use the process default)".into(),
-            ));
-        }
         Ok(())
-    }
-
-    /// The worker count this request resolves to: the explicit override, or
-    /// the process default in parallel builds, or 1 in serial builds (where
-    /// evaluation has no parallel path to hand work to).
-    fn effective_threads(&self) -> usize {
-        #[cfg(feature = "parallel")]
-        {
-            self.threads.unwrap_or_else(datalog::eval_threads)
-        }
-        #[cfg(not(feature = "parallel"))]
-        {
-            1
-        }
     }
 
     fn minones(&self) -> MinOnesOptions {
@@ -255,7 +217,6 @@ impl RepairRequest {
             decompose: self.decompose,
             node_budget: self.node_budget,
             first_solution_only: self.first_solution_only,
-            threads: self.effective_threads(),
         }
     }
 }
@@ -1065,7 +1026,7 @@ impl RepairSession {
             request.semantics
         };
         if effective == Semantics::End && request.incremental && !request.capture_provenance {
-            let mut outcome = self.serve_end(request);
+            let mut outcome = self.serve_end();
             if via_certificate {
                 relabel_certified(&mut outcome, request.semantics);
             }
@@ -1080,14 +1041,13 @@ impl RepairSession {
             deadline,
             effective,
             request.capture_provenance,
-            request.threads,
         );
         // End and step semantics already materialized the end-run stream
         // inside the dispatch; only the other two pay for a dedicated
         // provenance evaluation.
         let provenance = provenance.or_else(|| {
             request.capture_provenance.then(|| {
-                let out = end::run_threads(&self.db, &self.ev, request.threads);
+                let out = end::run(&self.db, &self.ev);
                 RepairProvenance {
                     assignments: out.assignments,
                     layers: out.layers,
@@ -1127,10 +1087,9 @@ impl RepairSession {
 
     /// Serve an end-semantics request through the incremental checkpoint,
     /// (re)priming it with a full run when cold or out of sync.
-    fn serve_end(&self, request: &RepairRequest) -> RepairOutcome {
+    fn serve_end(&self) -> RepairOutcome {
         let t0 = Instant::now();
-        let driver = FixpointDriver::new(&self.ev, DeltaPolicy::AtEnd { naive: false })
-            .threads(request.threads);
+        let driver = FixpointDriver::new(&self.ev, DeltaPolicy::AtEnd { naive: false });
         let mut guard = self.end_cache_guard();
         // No checkpoint, or the journal window no longer reaches back to
         // its cursor: the batch is unknowable and we rebuild from scratch.
@@ -1286,7 +1245,6 @@ fn relabel_certified(outcome: &mut RepairOutcome, requested: Semantics) {
 /// the result with its [`Optimality`] certificate. The static-certificate
 /// relabeling happens in the caller, so with `certificates(false)` the
 /// label is the dispatch's own (e.g. step's `InteractionFree`).
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_semantics(
     db: &Instance,
     ev: &Evaluator,
@@ -1294,7 +1252,6 @@ pub(crate) fn run_semantics(
     deadline: Option<Instant>,
     semantics: Semantics,
     capture: bool,
-    threads: Option<usize>,
 ) -> (RepairResult, Optimality, Option<RepairProvenance>) {
     match semantics {
         Semantics::End => {
@@ -1302,7 +1259,6 @@ pub(crate) fn run_semantics(
             // The assignment stream is only needed as captured provenance;
             // a plain recompute leaves it unrecorded.
             let out = FixpointDriver::new(ev, DeltaPolicy::AtEnd { naive: false })
-                .threads(threads)
                 .record_assignments(capture)
                 .run(db);
             let certificate = if out.deleted.is_empty() {
@@ -1330,7 +1286,7 @@ pub(crate) fn run_semantics(
         }
         Semantics::Stage => {
             let t0 = Instant::now();
-            let out = stage::run_threads(db, ev, threads);
+            let out = stage::run(db, ev);
             let certificate = if out.deleted.is_empty() {
                 OptimalityCertificate::AlreadyStable
             } else {
@@ -1351,7 +1307,7 @@ pub(crate) fn run_semantics(
             )
         }
         Semantics::Step => {
-            let out = step::run_greedy_threads(db, ev, threads);
+            let out = step::run_greedy(db, ev);
             let certificate = if out.deleted.is_empty() {
                 OptimalityCertificate::AlreadyStable
             } else if out.optimal {
@@ -1533,33 +1489,6 @@ mod tests {
             .repair(&RepairRequest::new(Semantics::Independent).time_budget(Duration::ZERO))
             .unwrap_err();
         assert!(matches!(err, RepairError::InvalidRequest(_)));
-        let err = s
-            .repair(&RepairRequest::new(Semantics::End).threads(0))
-            .unwrap_err();
-        assert!(matches!(err, RepairError::InvalidRequest(_)));
-    }
-
-    #[test]
-    fn explicit_thread_counts_change_no_bits() {
-        // The knob must be inert result-wise in every build: serial builds
-        // ignore it, parallel builds must merge morsels deterministically.
-        let s = session();
-        for sem in Semantics::ALL {
-            let reference = s
-                .repair(&RepairRequest::new(sem).incremental(false).threads(1))
-                .unwrap();
-            for threads in [2usize, 4, 8] {
-                let at = s
-                    .repair(&RepairRequest::new(sem).incremental(false).threads(threads))
-                    .unwrap();
-                assert_eq!(reference.deleted(), at.deleted(), "{sem} at {threads}");
-            }
-            assert_eq!(
-                RepairRequest::new(sem).threads(3).threads_value(),
-                Some(3),
-                "builder exposes the override"
-            );
-        }
     }
 
     #[test]

@@ -25,15 +25,7 @@ pub struct StageOutcome {
 /// Run stage semantics: the engine's [`DeltaPolicy::PerStage`] fixpoint —
 /// derive a whole round against `D^{t-1}`, then delete in one batch.
 pub fn run(db: &Instance, ev: &Evaluator) -> StageOutcome {
-    run_threads(db, ev, None)
-}
-
-/// [`run`] with an explicit worker-thread override for the parallel build
-/// (`None` = process default; results are bit-identical at every count).
-pub fn run_threads(db: &Instance, ev: &Evaluator, threads: Option<usize>) -> StageOutcome {
-    let out = FixpointDriver::new(ev, DeltaPolicy::PerStage)
-        .threads(threads)
-        .run(db);
+    let out = FixpointDriver::new(ev, DeltaPolicy::PerStage).run(db);
     StageOutcome {
         state: out.state,
         deleted: out.deleted,

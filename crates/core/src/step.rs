@@ -46,16 +46,8 @@ pub struct StepOutcome {
 
 /// Run Algorithm 2.
 pub fn run_greedy(db: &Instance, ev: &Evaluator) -> StepOutcome {
-    run_greedy_threads(db, ev, None)
-}
-
-/// [`run_greedy`] with an explicit worker-thread override for the parallel
-/// build, applied to the end-semantics evaluation that produces the
-/// provenance graph (`None` = process default; results are bit-identical
-/// at every count).
-pub fn run_greedy_threads(db: &Instance, ev: &Evaluator, threads: Option<usize>) -> StepOutcome {
     let t0 = Instant::now();
-    let end_out = end::run_threads(db, ev, threads);
+    let end_out = end::run(db, ev);
     let eval = t0.elapsed();
 
     let t1 = Instant::now();

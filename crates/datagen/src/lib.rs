@@ -15,8 +15,8 @@
 //!   table of the HoloClean comparison, plus seeded cell-error injection
 //!   with ground truth;
 //! * [`scale`] — the zipf scaling universe (`Hub`/`Link`/`Mid`/`Leaf` with
-//!   Zipf-skewed foreign keys), built for the 10×–50× parallel-evaluation
-//!   benches where one wide rule dominates.
+//!   Zipf-skewed foreign keys), built for join-bound benches at up to 50×
+//!   the paper's sizes, where one wide rule dominates.
 //!
 //! Everything is reproducible from a `u64` seed.
 

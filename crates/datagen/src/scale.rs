@@ -1,12 +1,11 @@
-//! The zipf scaling dataset: a synthetic cascade universe built for
-//! measuring intra-rule parallelism at 10×–50× the paper's workload sizes.
+//! The zipf scaling dataset: a synthetic cascade universe for measuring
+//! the join core at up to 50× the paper's workload sizes.
 //!
 //! The MAS and TPC-H generators reproduce the paper's experiments; this one
-//! is deliberately *adversarial to per-rule fan-out*: a handful of rules
-//! where one wide join dominates, over Zipf-skewed foreign keys so a few
-//! "heavy" hub tuples own a large share of the join cone. Speedups here
-//! must come from splitting work **inside** a rule (the morsel scheduler),
-//! not from running rules side by side.
+//! stresses a single join: a handful of rules where one wide join
+//! dominates, over Zipf-skewed foreign keys so a few "heavy" hub tuples
+//! own a large share of the join cone. Costs here are the probe plans' and
+//! the indexes', not the number of rules.
 //!
 //! Schema:
 //!

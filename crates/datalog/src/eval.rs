@@ -700,407 +700,6 @@ impl Evaluator {
     }
 }
 
-/// Morsel-driven parallel enumeration (the `parallel` feature).
-///
-/// One evaluation round reads an immutable `(Instance, State)` view, so its
-/// work can be split freely. Per-rule fan-out (the previous design) leaves a
-/// round's wall clock pinned to its heaviest rule; instead, every plan the
-/// round would execute is partitioned into **morsels** — fixed-size slices
-/// of the plan's *driver domain*, the candidate rows its first join step
-/// iterates. Workers pull `(plan, morsel)` tasks from a shared atomic
-/// cursor (work stealing in the morsel-driven-execution sense: no static
-/// assignment, fast workers drain the queue), each owning one pooled
-/// [`EvalScratch`] across all tasks it executes. Results are written into
-/// per-task slots and concatenated in `(rule, plan, morsel)` order — the
-/// exact serial enumeration order, since morsels preserve the ascending row
-/// order of the domain they slice — so the merged stream is bit-for-bit
-/// identical to the serial callbacks at every thread count.
-///
-/// Implemented with `std::thread::scope` rather than rayon (the build
-/// environment is offline); an atomic fetch-add over a precomputed task
-/// list is the same dispatch discipline a morsel-driven scheduler uses.
-#[cfg(feature = "parallel")]
-mod par {
-    use super::{
-        pivots, run_plan_rows, Assignment, CompiledRule, DeltaFrontier, EvalScratch, Evaluator,
-        Focus, Mode, Plan, Slot, Value,
-    };
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::OnceLock;
-    use storage::{Instance, State};
-
-    /// Which enumeration a parallel round performs.
-    #[derive(Clone, Copy)]
-    pub enum Scope<'f> {
-        /// Every rule, every assignment.
-        All,
-        /// Only rules without delta atoms (round 1 of semi-naive).
-        BaseRules,
-        /// Semi-naive frontier round.
-        Frontier(&'f DeltaFrontier),
-        /// Change-seeded round of incremental maintenance.
-        Seeded(&'f DeltaFrontier),
-    }
-
-    impl<'f> Scope<'f> {
-        /// The distinguished set and `delta_only` flag of a pivoted round.
-        fn pivot_set(self) -> Option<(&'f DeltaFrontier, bool)> {
-            match self {
-                Scope::All | Scope::BaseRules => None,
-                Scope::Frontier(set) => Some((set, true)),
-                Scope::Seeded(set) => Some((set, false)),
-            }
-        }
-    }
-
-    /// Worker threads the parallel paths use by default:
-    /// `DELTA_REPAIRS_THREADS` when set to a positive value, otherwise the
-    /// machine's logical CPUs. `DELTA_REPAIRS_THREADS=1` disables
-    /// parallelism at runtime, which is how benches compare serial vs
-    /// parallel inside one binary. The environment variable and the
-    /// `available_parallelism` syscall are read **once** per process and
-    /// cached; per-request overrides go through
-    /// `FixpointDriver::threads` / `RepairRequest::threads`, not the
-    /// environment.
-    pub fn eval_threads() -> usize {
-        static CACHED: OnceLock<usize> = OnceLock::new();
-        *CACHED.get_or_init(|| {
-            match std::env::var("DELTA_REPAIRS_THREADS")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-            {
-                Some(n) if n > 0 => n,
-                _ => std::thread::available_parallelism().map_or(1, |n| n.get()),
-            }
-        })
-    }
-
-    /// Rows per morsel. Small enough that a skewed domain still splits into
-    /// many tasks, large enough that the per-task overhead (one slot write,
-    /// one cursor fetch-add) is noise against the join work. Overridable
-    /// via `DELTA_REPAIRS_MORSEL` for experiments; read once per process.
-    /// The value never affects results — only how work is sliced.
-    pub fn morsel_rows() -> usize {
-        static CACHED: OnceLock<usize> = OnceLock::new();
-        *CACHED.get_or_init(|| {
-            match std::env::var("DELTA_REPAIRS_MORSEL")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-            {
-                Some(n) if n > 0 => n,
-                _ => 1024,
-            }
-        })
-    }
-
-    /// One plan execution of a round: the plan and its focus, plus the
-    /// materialized driver domain its first step iterates.
-    struct PlanJob<'e, 'f> {
-        rule_idx: usize,
-        plan: &'e Plan,
-        focus: Focus<'f>,
-        /// Candidate rows of step 0, in the serial iteration order. The
-        /// per-row admission/key checks still run inside the join; this is
-        /// the raw iteration source, sliced into morsels.
-        rows: Vec<u32>,
-        /// Does step 0 need the key-as-filter check (delta/pivot paths)?
-        check_key: bool,
-    }
-
-    /// One unit of parallel work: a morsel of one plan's driver domain.
-    struct Task {
-        job: u32,
-        start: u32,
-        end: u32,
-    }
-
-    /// Materialize the candidate rows the first step of `plan` iterates —
-    /// the same sources, in the same order, as the serial `step` at `k=0`.
-    /// Admission and residual key checks are *not* applied here; `try_row`
-    /// performs them per visited row exactly as the serial path does.
-    fn step0_domain(
-        db: &Instance,
-        state: &State,
-        mode: Mode,
-        cr: &CompiledRule,
-        plan: &Plan,
-        focus: Focus<'_>,
-    ) -> (Vec<u32>, bool) {
-        let atom = &cr.atoms[plan.order[0]];
-        let spec = &plan.probes[0];
-        let rel = db.relation(atom.rel);
-        if let Focus::Pivot { set, .. } = focus {
-            // The pivot generates from the distinguished set directly.
-            return (set.rows(atom.rel).map(|t| t.row).collect(), true);
-        }
-        if atom.is_delta && mode != Mode::Hypothetical {
-            return (state.delta_rows(atom.rel).map(|t| t.row).collect(), true);
-        }
-        if spec.is_probe() {
-            // Step-0 probe keys are constants by construction (no variable
-            // is bound before the first step).
-            let key: Vec<Value> = spec
-                .key_slots
-                .iter()
-                .map(|s| match s {
-                    Slot::Const(v) => *v,
-                    Slot::Var(_) => unreachable!("step-0 probe keys are constant-only"),
-                })
-                .collect();
-            return (rel.probe(spec.index, &key).to_vec(), false);
-        }
-        if mode == Mode::Current && !atom.is_delta {
-            return (state.present_rows(atom.rel).map(|t| t.row).collect(), false);
-        }
-        (rel.live_rows().collect(), false)
-    }
-
-    impl Evaluator {
-        /// Collect the plan executions one round under `scope` performs, in
-        /// serial enumeration order, with their driver domains materialized.
-        fn plan_jobs<'e, 'f>(
-            &'e self,
-            db: &Instance,
-            state: &State,
-            mode: Mode,
-            scope: Scope<'f>,
-        ) -> Vec<PlanJob<'e, 'f>> {
-            let mut jobs: Vec<PlanJob<'e, 'f>> = Vec::new();
-            let push = |rule_idx: usize,
-                        plan: &'e Plan,
-                        focus: Focus<'f>,
-                        jobs: &mut Vec<PlanJob<'e, 'f>>| {
-                let cr = &self.compiled[rule_idx];
-                let (rows, check_key) = step0_domain(db, state, mode, cr, plan, focus);
-                jobs.push(PlanJob {
-                    rule_idx,
-                    plan,
-                    focus,
-                    rows,
-                    check_key,
-                });
-            };
-            for (idx, cr) in self.compiled.iter().enumerate() {
-                if cr.never_fires {
-                    continue;
-                }
-                // Same plan selection as the serial path: pivot plans in
-                // for_each_rule_pivoted_with, mode-based otherwise in
-                // for_each_rule_assignment_with.
-                if let Some((set, delta_only)) = scope.pivot_set() {
-                    let focus = Focus::Pivot { set, delta_only };
-                    for p in pivots(cr, set, delta_only) {
-                        push(idx, &cr.pivoted[p], focus, &mut jobs);
-                    }
-                } else if matches!(scope, Scope::All) || cr.delta_positions.is_empty() {
-                    let plan = match mode {
-                        Mode::Hypothetical => &cr.hypothetical,
-                        Mode::Current | Mode::FrozenBase => &cr.general,
-                    };
-                    push(idx, plan, Focus::None, &mut jobs);
-                }
-            }
-            jobs
-        }
-
-        /// Enumerate under `scope` on up to `threads` workers, morsels
-        /// dispatched from a shared atomic cursor, feeding `f` in
-        /// `(rule, plan, morsel)` order — bit-for-bit the serial stream at
-        /// every thread count. Completed morsels flow through a reorder
-        /// buffer consumed by the calling thread as soon as the next
-        /// in-order task lands, so peak memory is proportional to the
-        /// out-of-order backlog, not the round's whole stream — callers
-        /// that fold (the fixpoint driver, Algorithm 1's clause builder)
-        /// never hold all assignments at once.
-        pub fn par_for_each(
-            &self,
-            db: &Instance,
-            state: &State,
-            mode: Mode,
-            scope: Scope<'_>,
-            threads: usize,
-            f: &mut dyn FnMut(&Assignment),
-        ) {
-            if threads <= 1 {
-                self.serial_for_each(db, state, mode, scope, f);
-                return;
-            }
-            let jobs = self.plan_jobs(db, state, mode, scope);
-            let morsel = morsel_rows();
-            let mut tasks: Vec<Task> = Vec::new();
-            for (j, job) in jobs.iter().enumerate() {
-                let mut start = 0usize;
-                while start < job.rows.len() {
-                    let end = (start + morsel).min(job.rows.len());
-                    tasks.push(Task {
-                        job: j as u32,
-                        start: start as u32,
-                        end: end as u32,
-                    });
-                    start = end;
-                }
-            }
-            if tasks.len() <= 1 {
-                // One morsel (or an empty round): the scheduler would only
-                // add overhead. Run it inline.
-                let mut scratch = EvalScratch::new();
-                for job in &jobs {
-                    self.run_job(db, state, mode, job, 0, job.rows.len(), &mut scratch, f);
-                }
-                return;
-            }
-            let workers = threads.min(tasks.len());
-            let cursor = AtomicUsize::new(0);
-            let (cursor, tasks, jobs) = (&cursor, &tasks, &jobs);
-            let (tx, rx) = std::sync::mpsc::channel::<(usize, Vec<Assignment>)>();
-            std::thread::scope(|s| {
-                for _ in 0..workers {
-                    let tx = tx.clone();
-                    s.spawn(move || {
-                        let mut scratch = EvalScratch::new();
-                        loop {
-                            let t = cursor.fetch_add(1, Ordering::Relaxed);
-                            if t >= tasks.len() {
-                                break;
-                            }
-                            let task = &tasks[t];
-                            let job = &jobs[task.job as usize];
-                            let mut out = Vec::new();
-                            self.run_job(
-                                db,
-                                state,
-                                mode,
-                                job,
-                                task.start as usize,
-                                task.end as usize,
-                                &mut scratch,
-                                &mut |a| out.push(a.clone()),
-                            );
-                            // The receiver outlives the scope; a send only
-                            // fails if the consumer below panicked, and
-                            // then this worker has nothing left to do.
-                            if tx.send((t, out)).is_err() {
-                                break;
-                            }
-                        }
-                    });
-                }
-                drop(tx);
-                // Consume in task order: emit each completed morsel as soon
-                // as everything before it has been emitted, dropping its
-                // buffer immediately after.
-                let mut buffered: Vec<Option<Vec<Assignment>>> =
-                    (0..tasks.len()).map(|_| None).collect();
-                let mut next = 0usize;
-                for (t, out) in rx {
-                    buffered[t] = Some(out);
-                    while next < tasks.len() {
-                        let Some(out) = buffered[next].take() else {
-                            break;
-                        };
-                        for a in &out {
-                            f(a);
-                        }
-                        next += 1;
-                    }
-                }
-                debug_assert_eq!(next, tasks.len(), "every task must be consumed");
-            });
-        }
-
-        /// [`Evaluator::par_for_each`] collected into a vector (tests and
-        /// callers that genuinely need the materialized stream).
-        pub fn par_collect(
-            &self,
-            db: &Instance,
-            state: &State,
-            mode: Mode,
-            scope: Scope<'_>,
-            threads: usize,
-        ) -> Vec<Assignment> {
-            let mut out = Vec::new();
-            self.par_for_each(db, state, mode, scope, threads, &mut |a| {
-                out.push(a.clone())
-            });
-            out
-        }
-
-        /// Execute one morsel `[start, end)` of a plan job, feeding every
-        /// assignment to `f`.
-        #[allow(clippy::too_many_arguments)]
-        fn run_job(
-            &self,
-            db: &Instance,
-            state: &State,
-            mode: Mode,
-            job: &PlanJob<'_, '_>,
-            start: usize,
-            end: usize,
-            scratch: &mut EvalScratch,
-            f: &mut dyn FnMut(&Assignment),
-        ) {
-            let cr = &self.compiled[job.rule_idx];
-            run_plan_rows(
-                db,
-                state,
-                mode,
-                job.rule_idx,
-                cr,
-                job.plan,
-                job.focus,
-                &job.rows[start..end],
-                job.check_key,
-                scratch,
-                &mut |a| {
-                    f(a);
-                    true
-                },
-            );
-        }
-
-        fn serial_for_each(
-            &self,
-            db: &Instance,
-            state: &State,
-            mode: Mode,
-            scope: Scope<'_>,
-            f: &mut dyn FnMut(&Assignment),
-        ) {
-            let mut scratch = EvalScratch::new();
-            let mut push = |a: &Assignment| {
-                f(a);
-                true
-            };
-            for idx in 0..self.num_rules() {
-                if let Some((set, delta_only)) = scope.pivot_set() {
-                    self.for_each_rule_pivoted_with(
-                        idx,
-                        db,
-                        state,
-                        mode,
-                        set,
-                        delta_only,
-                        &mut scratch,
-                        &mut push,
-                    );
-                } else if matches!(scope, Scope::All) || !self.rule_has_delta_body(idx) {
-                    self.for_each_rule_assignment_with(
-                        idx,
-                        db,
-                        state,
-                        mode,
-                        &mut scratch,
-                        &mut push,
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[cfg(feature = "parallel")]
-pub use par::{eval_threads, morsel_rows, Scope as ParScope};
-
 /// May body atom `ai` of a plan pivoted at `pivot` bind `tid`? The focus
 /// partition first (see [`Focus::Pivot`]), then the ordinary view
 /// admission of `mode`.
@@ -1159,52 +758,6 @@ fn run_plan(
     scratch.chosen.resize(cr.atoms.len(), DUMMY_TID);
     scratch.key.clear();
     step(db, state, mode, rule_idx, cr, plan, focus, 0, scratch, f)
-}
-
-/// [`run_plan`] restricted to an explicit slice of step-0 candidate rows —
-/// the morsel entry point of the parallel scheduler. `rows` is a contiguous
-/// slice of the plan's driver domain (see `par::step0_domain`), in the same
-/// ascending order the serial step-0 iteration would visit; `check_key`
-/// mirrors the serial path's choice of key-as-filter (delta/pivot sources)
-/// vs. key-guaranteed-by-index (probe sources). Per-row admission, key,
-/// equality and comparison checks all run inside [`try_row`] exactly as in
-/// the serial join, so concatenating morsel outputs in domain order
-/// reproduces the serial assignment stream bit for bit.
-#[cfg(feature = "parallel")]
-#[allow(clippy::too_many_arguments)]
-fn run_plan_rows(
-    db: &Instance,
-    state: &State,
-    mode: Mode,
-    rule_idx: usize,
-    cr: &CompiledRule,
-    plan: &Plan,
-    focus: Focus<'_>,
-    rows: &[u32],
-    check_key: bool,
-    scratch: &mut EvalScratch,
-    f: &mut dyn FnMut(&Assignment) -> bool,
-) -> bool {
-    scratch.bind.clear();
-    scratch.bind.resize(cr.n_vars, Value::Int(0));
-    scratch.chosen.clear();
-    scratch.chosen.resize(cr.atoms.len(), DUMMY_TID);
-    scratch.key.clear();
-    // Step-0 probe keys are constants (nothing is bound before step 0).
-    for s in &plan.probes[0].key_slots {
-        match s {
-            Slot::Const(v) => scratch.key.push(*v),
-            Slot::Var(_) => unreachable!("step-0 probe keys are constant-only"),
-        }
-    }
-    for &row in rows {
-        if !try_row(
-            db, state, mode, rule_idx, cr, plan, focus, 0, row, 0, check_key, scratch, f,
-        ) {
-            return false;
-        }
-    }
-    true
 }
 
 /// Match `row` against step `k`'s precompiled spec and recurse on success.
@@ -1337,11 +890,6 @@ fn step(
         };
     }
 
-    // KEEP IN SYNC: at k == 0 this source-selection ladder is mirrored by
-    // `par::step0_domain`, which materializes the same rows (same branches,
-    // same order) for the morsel scheduler. Any change to which rows a
-    // first step iterates must be applied to both; the engine-parity and
-    // differential suites pin the equivalence.
     if let (Focus::Pivot { set, .. }, 0) = (focus, k) {
         // The pivot generates from the (small) distinguished set directly,
         // whatever the atom's flavor; the key becomes a per-row filter and

@@ -39,8 +39,6 @@ pub use ast::{Atom, CmpOp, Comparison, Program, Rule, Span, Term};
 pub use cost::{OrderEstimate, StepEstimate};
 pub use dc::DenialConstraint;
 pub use error::DatalogError;
-#[cfg(feature = "parallel")]
-pub use eval::{eval_threads, ParScope};
 pub use eval::{
     Assignment, BodyBind, DeltaFrontier, EvalScratch, Evaluator, Mode, PlanStrategy, PlannedProgram,
 };

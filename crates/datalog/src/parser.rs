@@ -34,6 +34,7 @@ enum Tok {
 }
 
 struct Lexer<'a> {
+    text: &'a str,
     src: &'a [u8],
     pos: usize,
     line: usize,
@@ -49,6 +50,7 @@ struct Spanned {
 impl<'a> Lexer<'a> {
     fn new(src: &'a str) -> Lexer<'a> {
         Lexer {
+            text: src,
             src: src.as_bytes(),
             pos: 0,
             line: 1,
@@ -68,13 +70,15 @@ impl<'a> Lexer<'a> {
         self.src.get(self.pos).copied()
     }
 
+    /// Advance one byte. Columns count characters: a UTF-8 continuation
+    /// byte does not start a new column.
     fn bump(&mut self) -> Option<u8> {
         let c = self.peek()?;
         self.pos += 1;
         if c == b'\n' {
             self.line += 1;
             self.col = 1;
-        } else {
+        } else if c & 0xC0 != 0x80 {
             self.col += 1;
         }
         Some(c)
@@ -182,15 +186,17 @@ impl<'a> Lexer<'a> {
                 b'\'' | b'"' => {
                     let quote = c;
                     self.bump();
-                    let mut s = String::new();
+                    let start = self.pos;
                     loop {
                         match self.bump() {
                             None => return Err(self.err("unterminated string literal")),
                             Some(ch) if ch == quote => break,
-                            Some(ch) => s.push(ch as char),
+                            Some(_) => {}
                         }
                     }
-                    Tok::Str(s)
+                    // Both ends sit next to an ASCII quote, so the slice is
+                    // on character boundaries.
+                    Tok::Str(self.text[start..self.pos - 1].to_owned())
                 }
                 b'-' | b'0'..=b'9' => {
                     let mut s = String::new();
@@ -226,7 +232,13 @@ impl<'a> Lexer<'a> {
                     }
                     Tok::Ident(s)
                 }
-                other => return Err(self.err(format!("unexpected character `{}`", other as char))),
+                other => {
+                    // Tokens, whitespace and comments end on ASCII bytes, so
+                    // `pos` starts a character here.
+                    let ch = self.text.get(self.pos..).and_then(|t| t.chars().next());
+                    let ch = ch.unwrap_or(other as char);
+                    return Err(self.err(format!("unexpected character `{ch}`")));
+                }
             };
             out.push(Spanned { tok, line, col });
         }
@@ -496,6 +508,37 @@ mod tests {
     fn string_constants_both_quotes() {
         let p = parse_program(r#"delta A(x) :- A(x), x = 'ERC', x = "NSF"."#).unwrap();
         assert_eq!(p.rules[0].comparisons.len(), 2);
+    }
+
+    #[test]
+    fn non_ascii_string_constants_keep_their_characters() {
+        let p = parse_program("delta Grant(g, n) :- Grant(g, n), n = 'Zürich'.").unwrap();
+        assert_eq!(
+            p.rules[0].comparisons[0].rhs,
+            Term::Const(Value::str("Zürich"))
+        );
+    }
+
+    #[test]
+    fn unexpected_character_error_names_the_whole_character() {
+        let err = parse_program("∆ A(x) :- A(x).").unwrap_err();
+        assert!(
+            err.to_string().contains("unexpected character `∆`"),
+            "{err}"
+        );
+        // Columns count characters, not bytes.
+        let err = parse_program("delta A(x) :- A(x), x = 'ü', ∆").unwrap_err();
+        assert!(
+            matches!(
+                err,
+                DatalogError::Syntax {
+                    line: 1,
+                    col: 30,
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
     }
 
     #[test]

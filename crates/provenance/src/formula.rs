@@ -159,7 +159,7 @@ impl ProvFormulaBuilder {
     /// The canonical order makes the formula — and the CNF, whose layout
     /// the Min-Ones search uses to break ties between equal-size minimum
     /// models — a pure function of the clause *set*, identical under any
-    /// join order or thread count.
+    /// join order.
     ///
     /// Linear apart from the per-bucket sorts. A clause's sort key is its
     /// first four symbols, `pos` ranks + 1, a `0`, `neg` ranks + 1 and a

@@ -92,7 +92,7 @@ impl SupportIndex {
 
     /// Drop dead assignments, keeping id `i` iff `keep(i)`, and remap every
     /// surviving id through `remap` (the caller compacts its assignment
-    /// store in parallel). Entries of tuples only touched by surviving
+    /// store alongside). Entries of tuples only touched by surviving
     /// assignments are reused, not rebuilt; tuples left with no assignments
     /// disappear from the index.
     pub fn retain(&mut self, mut keep: impl FnMut(u32) -> bool, mut remap: impl FnMut(u32) -> u32) {

@@ -17,13 +17,6 @@ pub struct MinOnesOptions {
     /// Stop each component at its first (`False`-first descent) solution —
     /// a fast approximation instead of the exact minimum.
     pub first_solution_only: bool,
-    /// Worker threads for component solving. Connected components are
-    /// independent subproblems; with `threads > 1` they are pulled from a
-    /// shared atomic cursor by scoped worker threads and their solutions
-    /// merged in component order — per-component search order, statistics
-    /// and the final assignment are bit-identical to the serial loop.
-    /// `1` (the default) keeps the allocation-reusing serial path.
-    pub threads: usize,
 }
 
 impl Default for MinOnesOptions {
@@ -32,7 +25,6 @@ impl Default for MinOnesOptions {
             decompose: true,
             node_budget: u64::MAX,
             first_solution_only: false,
-            threads: 1,
         }
     }
 }
@@ -414,48 +406,6 @@ impl DisjointSet {
     }
 }
 
-/// Renumber one component's residual clauses to a dense local variable
-/// range, appending into the caller's buffers (cleared here): `global_of`
-/// maps local index → global var, `off`/`lits` are the local CSR. The
-/// single translation used by both the serial (buffer-reusing) and
-/// parallel (per-component-owned) solve paths — any remap change applies
-/// to both by construction. Returns nothing; sizes are read off the
-/// buffers.
-#[allow(clippy::too_many_arguments)]
-fn fill_local(
-    clause_ids: &[usize],
-    res_off: &[u32],
-    res_lits: &[Lit],
-    generation: u32,
-    local_gen: &mut [u32],
-    local_of: &mut [Var],
-    global_of: &mut Vec<Var>,
-    off: &mut Vec<u32>,
-    lits: &mut Vec<Lit>,
-) {
-    global_of.clear();
-    off.clear();
-    off.push(0);
-    lits.clear();
-    for &ci in clause_ids {
-        for &l in &res_lits[res_off[ci] as usize..res_off[ci + 1] as usize] {
-            let v = l.var() as usize;
-            if local_gen[v] != generation {
-                local_gen[v] = generation;
-                local_of[v] = global_of.len() as Var;
-                global_of.push(l.var());
-            }
-            let lv = local_of[v];
-            lits.push(if l.is_neg() {
-                Lit::neg(lv)
-            } else {
-                Lit::pos(lv)
-            });
-        }
-        off.push(lits.len() as u32);
-    }
-}
-
 /// One component's branch & bound outcome, retry included.
 struct ComponentResult {
     best: Option<(Vec<bool>, u32)>,
@@ -544,102 +494,43 @@ pub fn solve_min_ones(cnf: &Cnf, opts: &MinOnesOptions) -> Outcome {
         let mut local_off: Vec<u32> = Vec::new();
         let mut local_lits: Vec<Lit> = Vec::new();
 
-        if opts.threads > 1 && components.len() > 1 {
-            // Parallel path: materialize every component's local CSR first
-            // (serial, cheap against the searches), then let scoped worker
-            // threads pull components from a shared atomic cursor. Each
-            // component's search is the identical single-threaded BnB, and
-            // results are merged in component order, so the assignment,
-            // per-component statistics and the optimality verdict are
-            // bit-identical to the serial loop below.
-            struct LocalCnf {
-                global_of: Vec<Var>,
-                off: Vec<u32>,
-                lits: Vec<Lit>,
-            }
-            let mut locals: Vec<LocalCnf> = Vec::with_capacity(components.len());
-            for clause_ids in &components {
-                generation += 1;
-                let mut local = LocalCnf {
-                    global_of: Vec::new(),
-                    off: Vec::new(),
-                    lits: Vec::new(),
-                };
-                fill_local(
-                    clause_ids,
-                    &res.off,
-                    &res.lits,
-                    generation,
-                    &mut local_gen,
-                    &mut local_of,
-                    &mut local.global_of,
-                    &mut local.off,
-                    &mut local.lits,
-                );
-                stats.largest_component = stats.largest_component.max(local.global_of.len());
-                locals.push(local);
-            }
-            use std::sync::atomic::{AtomicUsize, Ordering};
-            use std::sync::Mutex;
-            let cursor = AtomicUsize::new(0);
-            let slots: Vec<Mutex<Option<ComponentResult>>> =
-                locals.iter().map(|_| Mutex::new(None)).collect();
-            let workers = opts.threads.min(locals.len());
-            std::thread::scope(|s| {
-                for _ in 0..workers {
-                    s.spawn(|| loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= locals.len() {
-                            break;
-                        }
-                        let l = &locals[i];
-                        let r = solve_component(l.global_of.len(), &l.off, &l.lits, opts);
-                        *slots[i].lock().expect("no panics hold this lock") = Some(r);
+        for clause_ids in components {
+            // Renumber the component's clauses to a dense local variable
+            // range: `global_of` maps local index → global var,
+            // `local_off`/`local_lits` are the local CSR.
+            generation += 1;
+            global_of.clear();
+            local_off.clear();
+            local_off.push(0);
+            local_lits.clear();
+            for &ci in &clause_ids {
+                for &l in res.clause(ci) {
+                    let v = l.var() as usize;
+                    if local_gen[v] != generation {
+                        local_gen[v] = generation;
+                        local_of[v] = global_of.len() as Var;
+                        global_of.push(l.var());
+                    }
+                    let lv = local_of[v];
+                    local_lits.push(if l.is_neg() {
+                        Lit::neg(lv)
+                    } else {
+                        Lit::pos(lv)
                     });
                 }
-            });
-            for (local, slot) in locals.iter().zip(slots) {
-                let result = slot
-                    .into_inner()
-                    .expect("workers joined")
-                    .expect("every component solved");
-                stats.decisions += result.decisions;
-                let Some((assignment, _)) = result.best else {
-                    return Outcome::Unsat;
-                };
-                if !result.complete {
-                    optimal = false;
-                }
-                for (lv, &gv) in local.global_of.iter().enumerate() {
-                    values[gv as usize] = assignment[lv];
-                }
+                local_off.push(local_lits.len() as u32);
             }
-        } else {
-            for clause_ids in components {
-                generation += 1;
-                fill_local(
-                    &clause_ids,
-                    &res.off,
-                    &res.lits,
-                    generation,
-                    &mut local_gen,
-                    &mut local_of,
-                    &mut global_of,
-                    &mut local_off,
-                    &mut local_lits,
-                );
-                stats.largest_component = stats.largest_component.max(global_of.len());
-                let result = solve_component(global_of.len(), &local_off, &local_lits, opts);
-                stats.decisions += result.decisions;
-                let Some((assignment, _)) = result.best else {
-                    return Outcome::Unsat;
-                };
-                if !result.complete {
-                    optimal = false;
-                }
-                for (lv, &gv) in global_of.iter().enumerate() {
-                    values[gv as usize] = assignment[lv];
-                }
+            stats.largest_component = stats.largest_component.max(global_of.len());
+            let result = solve_component(global_of.len(), &local_off, &local_lits, opts);
+            stats.decisions += result.decisions;
+            let Some((assignment, _)) = result.best else {
+                return Outcome::Unsat;
+            };
+            if !result.complete {
+                optimal = false;
+            }
+            for (lv, &gv) in global_of.iter().enumerate() {
+                values[gv as usize] = assignment[lv];
             }
         }
     }
@@ -875,62 +766,6 @@ mod tests {
             }
         }
         best
-    }
-
-    #[test]
-    fn parallel_component_solving_matches_serial_bit_for_bit() {
-        // Random multi-component formulas: the threaded component loop must
-        // reproduce the serial solve exactly — assignment, count, verdict
-        // and decision statistics.
-        let mut seed = 0x2545f4914f6cdd1du64;
-        let mut next = move || {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            seed
-        };
-        for _case in 0..40 {
-            let n = 6 + (next() % 12) as usize; // 6..17 vars
-            let m = 4 + (next() % 14) as usize; // 4..17 clauses
-            let mut f = Cnf::new(n);
-            for _ in 0..m {
-                let len = 1 + (next() % 3) as usize;
-                let lits: Vec<Lit> = (0..len)
-                    .map(|_| {
-                        let v = (next() % n as u64) as Var;
-                        if next() % 3 == 0 {
-                            Lit::neg(v)
-                        } else {
-                            Lit::pos(v)
-                        }
-                    })
-                    .collect();
-                f.add_clause(&lits);
-            }
-            let serial = solve_min_ones(&f, &MinOnesOptions::default());
-            for threads in [2usize, 4, 8] {
-                let par = solve_min_ones(
-                    &f,
-                    &MinOnesOptions {
-                        threads,
-                        ..Default::default()
-                    },
-                );
-                match (&serial, &par) {
-                    (Outcome::Unsat, Outcome::Unsat) => {}
-                    (Outcome::Sat(a), Outcome::Sat(b)) => {
-                        assert_eq!(a.values, b.values, "assignment diverged: {f:?}");
-                        assert_eq!(a.ones, b.ones);
-                        assert_eq!(a.optimal, b.optimal);
-                        assert_eq!(a.stats.decisions, b.stats.decisions);
-                        assert_eq!(a.stats.components, b.stats.components);
-                        assert_eq!(a.stats.largest_component, b.stats.largest_component);
-                        assert_eq!(a.stats.simplified, b.stats.simplified);
-                    }
-                    (a, b) => panic!("verdict diverged at {threads} threads: {a:?} vs {b:?}"),
-                }
-            }
-        }
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //!
 //! **Read path.** `Sym::as_str` sits under [`crate::value::Value`]'s
 //! lexicographic ordering, so comparison-heavy denial constraints call it
-//! once per comparison; taking the intern mutex there serializes otherwise
-//! independent evaluation threads. Reads therefore go through a lock-free
-//! append-only table: a spine of doubling buckets (bucket `b` holds
+//! once per comparison; taking the intern mutex there would cost a lock
+//! per string comparison, and the table is process-wide, so sessions on
+//! other threads would contend for it too. Reads therefore go through a
+//! lock-free append-only table: a spine of doubling buckets (bucket `b` holds
 //! `64 << b` entries, so 27 buckets cover the full `u32` id space without
 //! ever moving an entry), each entry an `AtomicPtr` to a leaked
 //! `&'static str` cell. Writers (interning, rare) still serialize on the

@@ -1,15 +1,13 @@
 //! Programs over the zipf scaling universe (`datagen::scale`).
 //!
-//! Three shapes, all chosen so one rule owns almost all the work — the
-//! regime where per-rule fan-out cannot help and intra-rule morsel
-//! parallelism must:
+//! Three shapes, all chosen so one rule owns almost all the work, so their
+//! cost is the join core's and the planner's:
 //!
 //! * `zipf-cascade` — a three-rule chain seeded by the `'bad'` hubs; rule 2
 //!   (the `Mid ⋈ Link ⋈ ΔHub` join over Zipf-skewed links) dominates every
 //!   semi-naive round;
 //! * `zipf-join` — a single wide rule (`Leaf ⋈ Link ⋈ Hub` filtered to
-//!   `'bad'`), the purest single-heavy-rule workload: with one rule there
-//!   is nothing to fan out per rule at all;
+//!   `'bad'`), the purest single-heavy-rule workload;
 //! * `zipf-pessimal` — the same join written in the *worst* textual order:
 //!   the body leads with the huge unselective `Leaf` and buries the
 //!   `k = 'bad'`-filtered `Hub` last, so a planner that follows source

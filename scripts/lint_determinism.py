@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Determinism lint: deny unaudited std HashMap/HashSet in the engine crates.
 
-The engine's contract is bit-identical output at any thread count and across
-runs. `std::collections::HashMap`/`HashSet` use a randomly seeded hasher, so
+The engine's contract is bit-identical output across runs and processes.
+`std::collections::HashMap`/`HashSet` use a randomly seeded hasher, so
 *iterating* one leaks nondeterministic order into anything built from the
 iteration. Every existing use has been audited (lookup-only, or the result is
 sorted before it escapes) and pinned in ALLOWLIST below as an exact per-file

@@ -1,7 +1,7 @@
-//! A definitional oracle for independent semantics, written straight from
-//! the paper's text over plain tuple vectors. It shares no engine code: no
-//! parser, evaluator, provenance formula or solver. Rules are data here and
-//! are rendered to source text only to hand them to the engine.
+//! Definitional oracles for the repair semantics, written straight from
+//! the paper's text over plain tuple vectors. They share no engine code:
+//! no parser, evaluator, provenance formula or solver. Rules are data here
+//! and are rendered to source text only to hand them to the engine.
 //!
 //! * Def. 3.12 (stability): `(D \ S) ∪ Δ(S)` is stable when no rule has an
 //!   assignment mapping its base atoms to tuples of `D \ S` and its delta
@@ -10,11 +10,21 @@
 //! * Def. 3.3 (independent): `Ind(P, D)` is a smallest `S` that is
 //!   stabilizing, found here by enumerating subsets of `D` in increasing
 //!   size.
+//! * Def. 3.7 (stage): starting from `S = ∅`, every rule fires on
+//!   `(D \ S) ∪ Δ(S)`; the heads of one stage join `S` as one batch; stop
+//!   at the first stage that derives nothing.
+//! * Def. 3.10 (end): base atoms range over the original `D` throughout,
+//!   delta atoms over the deltas derived so far; repeat to the fixpoint.
+//!   This is the least fixpoint of the rules' immediate-consequence
+//!   operator with the base facts frozen. Fröhlich et al. (PAPERS.md) give
+//!   a logic-based formulation of repairs to cross-check these readings
+//!   against.
 //!
-//! The property: every Independent outcome marked `proven_optimal` — the
+//! The properties: every Independent outcome marked `proven_optimal` — the
 //! served lazy loop, the same request with the static certificates on, and
 //! Algorithm 1 itself — has the oracle's size and is stabilizing by the
-//! oracle's own check.
+//! oracle's own check; End and Stage delete exactly the oracles' sets,
+//! with the certificates on and off.
 
 use delta_repairs::sat::MinOnesOptions;
 use delta_repairs::{
@@ -22,6 +32,7 @@ use delta_repairs::{
     Semantics, TupleId, Value,
 };
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 /// Relations and their arities.
 const RELS: [(&str, usize); 3] = [("R", 1), ("S", 2), ("T", 1)];
@@ -154,25 +165,38 @@ fn render(rule: &Rule) -> String {
     format!("delta {head} :- {}.\n", body.join(", "))
 }
 
-/// Does `rule` have an assignment in the state where the tuples flagged in
-/// `deleted` sit in their delta relations and the others in their base
-/// relations? Backtracking over body atoms, in order.
-fn fires(rule: &Rule, db: &[Tuple], deleted: &[bool]) -> bool {
+/// Feed `f` the head tuple (the tuple bound to the first body atom, the
+/// head witness) of every assignment of `rule` whose base atoms bind
+/// tuples flagged in `base` and whose delta atoms bind tuples flagged in
+/// `delta`. Backtracking over body atoms, in order.
+fn for_each_head(
+    rule: &Rule,
+    db: &[Tuple],
+    base: &[bool],
+    delta: &[bool],
+    f: &mut dyn FnMut(usize),
+) {
     fn value(t: Term, bind: &[Option<i64>; 2]) -> Option<i64> {
         match t {
             Var(i) => bind[i],
             Const(c) => Some(c),
         }
     }
+    struct Views<'a> {
+        db: &'a [Tuple],
+        base: &'a [bool],
+        delta: &'a [bool],
+    }
     fn extend(
         rule: &Rule,
         k: usize,
-        db: &[Tuple],
-        deleted: &[bool],
+        views: &Views<'_>,
         bind: [Option<i64>; 2],
-    ) -> bool {
+        head: usize,
+        f: &mut dyn FnMut(usize),
+    ) {
         let Some(atom) = rule.body.get(k) else {
-            return rule.cmps.iter().all(|&(l, op, r)| {
+            let holds = rule.cmps.iter().all(|&(l, op, r)| {
                 let (l, r) = (value(l, &bind).unwrap(), value(r, &bind).unwrap());
                 match op {
                     Op::Eq => l == r,
@@ -180,27 +204,44 @@ fn fires(rule: &Rule, db: &[Tuple], deleted: &[bool]) -> bool {
                     Op::Lt => l < r,
                 }
             });
+            if holds {
+                f(head);
+            }
+            return;
         };
-        db.iter().zip(deleted).any(|((rel, vals), &del)| {
-            if *rel != atom.rel || del != atom.delta {
-                return false;
+        let view = if atom.delta { views.delta } else { views.base };
+        'tuples: for (i, (rel, vals)) in views.db.iter().enumerate() {
+            if *rel != atom.rel || !view[i] {
+                continue;
             }
             let mut bind = bind;
             for (&t, &v) in atom.args.iter().zip(vals) {
                 match t {
-                    Const(c) if c != v => return false,
+                    Const(c) if c != v => continue 'tuples,
                     Const(_) => {}
-                    Var(i) => match bind[i] {
-                        Some(b) if b != v => return false,
+                    Var(x) => match bind[x] {
+                        Some(b) if b != v => continue 'tuples,
                         Some(_) => {}
-                        None => bind[i] = Some(v),
+                        None => bind[x] = Some(v),
                     },
                 }
             }
-            extend(rule, k + 1, db, deleted, bind)
-        })
+            let head = if k == 0 { i } else { head };
+            extend(rule, k + 1, views, bind, head, f);
+        }
     }
-    extend(rule, 0, db, deleted, [None; 2])
+    let views = Views { db, base, delta };
+    extend(rule, 0, &views, [None; 2], usize::MAX, f);
+}
+
+/// Does `rule` have an assignment in the state where the tuples flagged in
+/// `deleted` sit in their delta relations and the others in their base
+/// relations?
+fn fires(rule: &Rule, db: &[Tuple], deleted: &[bool]) -> bool {
+    let present: Vec<bool> = deleted.iter().map(|&d| !d).collect();
+    let mut fired = false;
+    for_each_head(rule, db, &present, deleted, &mut |_| fired = true);
+    fired
 }
 
 /// Def. 3.12/3.14: is deleting the flagged tuples stabilizing?
@@ -224,6 +265,42 @@ fn min_stabilizing_size(rules: &[Rule], db: &[Tuple]) -> usize {
         .expect("the whole database is stabilizing")
 }
 
+/// Def. 3.10: grow the deltas with base atoms over the original `D` until
+/// no rule derives a new one; the fixpoint's deltas are deleted.
+fn end_oracle(rules: &[Rule], db: &[Tuple]) -> Vec<bool> {
+    let original = vec![true; db.len()];
+    let mut delta = vec![false; db.len()];
+    loop {
+        let mut next = delta.clone();
+        for rule in rules {
+            for_each_head(rule, db, &original, &delta, &mut |i| next[i] = true);
+        }
+        if next == delta {
+            return delta;
+        }
+        delta = next;
+    }
+}
+
+/// Def. 3.7: each stage fires every rule on `(D \ S) ∪ Δ(S)` and deletes
+/// all of the stage's heads at once.
+fn stage_oracle(rules: &[Rule], db: &[Tuple]) -> Vec<bool> {
+    let mut deleted = vec![false; db.len()];
+    loop {
+        let present: Vec<bool> = deleted.iter().map(|&d| !d).collect();
+        let mut heads = Vec::new();
+        for rule in rules {
+            for_each_head(rule, db, &present, &deleted, &mut |i| heads.push(i));
+        }
+        if heads.is_empty() {
+            return deleted;
+        }
+        for i in heads {
+            deleted[i] = true;
+        }
+    }
+}
+
 fn engine_db(db: &[Tuple]) -> (Instance, Vec<TupleId>) {
     let mut schema = Schema::new();
     schema.relation("R", &[("x", AttrType::Int)]);
@@ -240,6 +317,11 @@ fn engine_db(db: &[Tuple]) -> (Instance, Vec<TupleId>) {
         .collect();
     (instance, ids)
 }
+
+/// Cases run by the End/Stage property, and among them the cases whose End
+/// set is nonempty and whose Stage set differs from End's: the property
+/// must not pass by comparing empty sets.
+static END_STAGE_CASES: [AtomicUsize; 3] = [const { AtomicUsize::new(0) }; 3];
 
 prop_compose! {
     /// At most 14 distinct tuples: up to 4 R values, 6 S pairs and 4 T
@@ -306,6 +388,60 @@ proptest! {
                     "{}: not a minimum by Def. 3.3\n{}{:?}", label, source, db
                 );
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(384))]
+
+    #[test]
+    fn end_and_stage_match_definitions_3_10_and_3_7(
+        db in arb_db(),
+        rules in arb_rules(),
+    ) {
+        let source: String = rules.iter().map(render).collect();
+        let (instance, ids) = engine_db(&db);
+        let session = RepairSession::new(instance, parse_program(&source).expect("well-formed"))
+            .expect("valid");
+        let as_ids = |flags: Vec<bool>| -> Vec<TupleId> {
+            let mut out: Vec<TupleId> =
+                ids.iter().zip(flags).filter(|&(_, d)| d).map(|(&t, _)| t).collect();
+            out.sort_unstable();
+            out
+        };
+        let end = as_ids(end_oracle(&rules, &db));
+        let stage = as_ids(stage_oracle(&rules, &db));
+        let [cases, nonempty, differ] = &END_STAGE_CASES;
+        nonempty.fetch_add(usize::from(!end.is_empty()), Relaxed);
+        differ.fetch_add(usize::from(end != stage), Relaxed);
+        for certificates in [false, true] {
+            // End twice: served from the incremental checkpoint, and as a
+            // full recompute.
+            for (sem, incremental, oracle) in [
+                (Semantics::End, true, &end),
+                (Semantics::End, false, &end),
+                (Semantics::Stage, true, &stage),
+            ] {
+                let req = RepairRequest::new(sem)
+                    .certificates(certificates)
+                    .incremental(incremental);
+                let mut deleted = session.repair(&req).expect("valid request").deleted().to_vec();
+                deleted.sort_unstable();
+                prop_assert_eq!(
+                    &deleted, oracle,
+                    "{} (certificates {}, incremental {}) differs from its definition\n{}{:?}",
+                    sem, certificates, incremental, source, db
+                );
+            }
+        }
+        if cases.fetch_add(1, Relaxed) + 1 == 384 {
+            let (nonempty, differ) = (nonempty.load(Relaxed), differ.load(Relaxed));
+            prop_assert!(
+                nonempty >= 128 && differ >= 3,
+                "End/Stage property is near-vacuous: {nonempty} nonempty End sets and \
+                 {differ} Stage sets differing from End in 384 cases"
+            );
         }
     }
 }

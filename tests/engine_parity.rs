@@ -151,41 +151,6 @@ fn assert_parity(label: &str, session: &RepairSession) {
         "{label}: end assignment stream (provenance input)"
     );
 
-    // Morsel-parallel parity: explicit thread counts must reproduce the
-    // reference bit for bit — stream, layers and round counts included.
-    // (On serial builds the knob is inert; the assertions then pin that it
-    // at least changes nothing.)
-    for threads in [1usize, 2, 4] {
-        let t = Some(threads);
-        let par_end = delta_repairs::end::run_threads(db, ev, t);
-        assert_eq!(
-            par_end.deleted, ref_end.deleted,
-            "{label}: end deleted set at {threads} threads"
-        );
-        assert_eq!(
-            par_end.assignments, ref_end.assignments,
-            "{label}: end assignment stream at {threads} threads"
-        );
-        assert_eq!(
-            par_end.layers, ref_end.layers,
-            "{label}: end layers at {threads} threads"
-        );
-        assert_eq!(
-            par_end.rounds, ref_end.rounds,
-            "{label}: end rounds at {threads} threads"
-        );
-        let par_stage = delta_repairs::stage::run_threads(db, ev, t);
-        let (ref_stage_deleted, ref_stage_count) = reference::stage_run(db, ev);
-        assert_eq!(
-            par_stage.deleted, ref_stage_deleted,
-            "{label}: stage deleted set at {threads} threads"
-        );
-        assert_eq!(
-            par_stage.stages, ref_stage_count,
-            "{label}: stage count at {threads} threads"
-        );
-    }
-
     let new_naive = delta_repairs::end::run_naive(db, ev);
     let ref_naive = reference::end_run_naive(db, ev);
     assert_eq!(

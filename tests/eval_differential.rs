@@ -588,55 +588,3 @@ proptest! {
         }
     }
 }
-
-// The morsel-parallel collector must reproduce the serial callback stream
-// — order included — at every thread count, under every mode, on the same
-// randomized programs/instances/states as the serial differential above:
-// for whole rounds, and for frontier and seeded rounds, whose pivot step
-// takes the pivot branch of the source ladder `par::step0_domain` mirrors.
-#[cfg(feature = "parallel")]
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(60))]
-
-    #[test]
-    fn par_collect_matches_serial_stream(
-        program in arb_program(),
-        tuples in arb_tuples(),
-        state_ops in prop::collection::vec(0u64..4, 0..26),
-        threads in 2usize..=8,
-        frontier_bits in prop::collection::vec(any::<bool>(), 26),
-        seed_bits in prop::collection::vec(any::<bool>(), 26),
-    ) {
-        use delta_repairs::datalog::ParScope;
-        let mut db = build_instance(&tuples);
-        let ev = Evaluator::new(&mut db, program).expect("valid by construction");
-        let state = build_state(&db, &state_ops);
-        let deltas = db.all_tuple_ids().filter(|&t| state.in_delta(t));
-        let frontier = tuple_set(&db, deltas, &frontier_bits);
-        let seed = tuple_set(&db, db.all_tuple_ids(), &seed_bits);
-        for mode in [Mode::Current, Mode::FrozenBase, Mode::Hypothetical] {
-            let serial = engine_assignments(&ev, &db, &state, mode);
-            let par = ev.par_collect(
-                &db,
-                &state,
-                mode,
-                delta_repairs::datalog::ParScope::All,
-                threads,
-            );
-            prop_assert_eq!(
-                &par, &serial,
-                "parallel stream diverged under {:?} at {} threads", mode, threads
-            );
-            prop_assert_eq!(
-                ev.par_collect(&db, &state, mode, ParScope::Frontier(&frontier), threads),
-                frontier_round(&ev, &db, &state, mode, &frontier),
-                "parallel frontier round diverged under {:?} at {} threads", mode, threads
-            );
-            prop_assert_eq!(
-                ev.par_collect(&db, &state, mode, ParScope::Seeded(&seed), threads),
-                seeded_round(&ev, &db, &state, mode, &seed),
-                "parallel seeded round diverged under {:?} at {} threads", mode, threads
-            );
-        }
-    }
-}
