@@ -17,14 +17,12 @@
 //!   fig10     runtime scaling vs #errors and #rows (Figure 10a/10b)
 //!   all       everything above
 //!
-//!   bench-json  emit this repository's BENCH_*.json perf record to stdout
-//!               (not part of `all`). Env: BENCH_JSON_MODE names the run
-//!               key (default "serial"); BENCH_JSON_QUICK=1 (or the
-//!               `--quick` flag) shortens the measurement for CI smoke —
-//!               never commit quick numbers. Includes the
-//!               incremental_rerepair group (mutate → re-repair loop,
-//!               incremental vs full recompute).
+//!   lint-workloads  lint the 29 built-in workload programs (not part of
+//!                   `all`; any error-level finding exits 1)
 //! ```
+//!
+//! Every name is checked before anything runs: an unknown one exits 2 and
+//! lists the valid names.
 //!
 //! Scales via `REPRO_MAS_SCALE` / `REPRO_TPCH_SCALE` / `REPRO_ROWS`
 //! (see the `bench` crate docs). Run with `--release`.
@@ -41,39 +39,45 @@ use std::time::Instant;
 use triggers::{run_triggers, triggers_from_program, FiringOrder};
 use workloads::{author_instance_from_table, dc_delta_program, paper_dcs};
 
+/// Every experiment by name, in `all` order. `lint-workloads`, kept last,
+/// is a smoke check rather than a figure, so `all` leaves it out.
+const EXPERIMENTS: [(&str, fn()); 10] = [
+    ("table3", table3),
+    ("fig6", fig6),
+    ("fig7", fig7),
+    ("fig8", fig8),
+    ("fig9", fig9),
+    ("triggers", trigger_comparison),
+    ("table4", || table4_and_5(false)),
+    ("table5", || table4_and_5(true)),
+    ("fig10", fig10),
+    ("lint-workloads", lint_workloads),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // `--quick` shortens bench-json measurement (same as BENCH_JSON_QUICK=1).
-    let quick_flag = args.iter().any(|a| a == "--quick");
-    let args: Vec<String> = args.into_iter().filter(|a| a != "--quick").collect();
-    if quick_flag && args.is_empty() {
-        // A bare `repro --quick` must not silently fall through to the
-        // full-scale everything run.
-        eprintln!("--quick applies to bench-json; run `repro bench-json --quick`");
-        return;
-    }
-    let wanted: Vec<&str> = if args.is_empty() || args.iter().any(|a| a == "all") {
-        vec![
-            "table3", "fig6", "fig7", "fig8", "fig9", "triggers", "table4", "table5", "fig10",
-        ]
-    } else {
-        args.iter().map(String::as_str).collect()
-    };
-    for w in wanted {
-        match w {
-            "table3" => table3(),
-            "fig6" => fig6(),
-            "fig7" => fig7(),
-            "fig8" => fig8(),
-            "fig9" => fig9(),
-            "triggers" => trigger_comparison(),
-            "table4" => table4_and_5(false),
-            "table5" => table4_and_5(true),
-            "fig10" => fig10(),
-            "bench-json" => bench_json(quick_flag),
-            "lint-workloads" => lint_workloads(),
-            other => eprintln!("unknown experiment `{other}` (see --help text in source)"),
+    let mut runs: Vec<fn()> = Vec::new();
+    for arg in args.iter().filter(|a| *a != "all") {
+        match EXPERIMENTS.iter().find(|&&(name, _)| name == arg) {
+            Some(&(_, run)) => runs.push(run),
+            None => {
+                let names: Vec<&str> = EXPERIMENTS.iter().map(|&(name, _)| name).collect();
+                eprintln!(
+                    "unknown experiment `{arg}`; valid names: all, {}",
+                    names.join(", ")
+                );
+                std::process::exit(2);
+            }
         }
+    }
+    if args.is_empty() || args.iter().any(|a| a == "all") {
+        runs = EXPERIMENTS[..EXPERIMENTS.len() - 1]
+            .iter()
+            .map(|&(_, run)| run)
+            .collect();
+    }
+    for run in runs {
+        run();
     }
 }
 
@@ -130,25 +134,6 @@ fn lint_workloads() {
         eprintln!("lint-workloads: {total_errors} error-level finding(s)");
         std::process::exit(1);
     }
-}
-
-/// Emit the `BENCH_*.json` perf record for this build to stdout. Progress
-/// goes to stderr so the JSON can be redirected to a file directly.
-fn bench_json(quick_flag: bool) {
-    let mode = std::env::var("BENCH_JSON_MODE").unwrap_or_else(|_| "serial".to_owned());
-    let quick = quick_flag || std::env::var("BENCH_JSON_QUICK").is_ok_and(|v| v == "1");
-    eprintln!(
-        "bench-json: mode `{mode}`{} — fig7 MAS (0.02) + fig9b TPC-H (0.01)",
-        if quick { " (quick)" } else { "" }
-    );
-    let records = bench::bench_json_records(quick);
-    for r in &records {
-        eprintln!(
-            "  {:<55} {:>14.1} ns ({} iters)",
-            r.bench, r.mean_ns, r.iterations
-        );
-    }
-    print!("{}", bench::render_bench_json(&mode, &records));
 }
 
 fn banner(title: &str) {

@@ -150,318 +150,6 @@ pub const SEM_ORDER: [Semantics; 4] = [
     Semantics::End,
 ];
 
-// ---------------------------------------------------------------------------
-// BENCH_*.json emission (`repro bench-json`).
-// ---------------------------------------------------------------------------
-
-/// One measured benchmark in the `BENCH_*.json` schema.
-#[derive(Clone, Debug)]
-pub struct BenchRecord {
-    /// Full bench id, e.g. `fig7_mas_semantics/independent/mas-08`.
-    pub bench: String,
-    /// Mean wall-clock nanoseconds per iteration.
-    pub mean_ns: f64,
-    /// Iterations measured.
-    pub iterations: u64,
-    /// Work size of the measured run, when the group records it. The
-    /// `planner` group carries each plan's assignment count so
-    /// `scripts/bench_gate.py` can assert that both plans enumerate the
-    /// same assignments.
-    pub size: Option<usize>,
-}
-
-/// The criterion shim's measurement loop, re-exported so `BENCH_*.json`
-/// records are timed exactly like the criterion benches.
-pub use criterion::measure_mean_ns;
-
-/// Run the repository's perf-tracking bench set — the same workloads and
-/// groups as the `semantics_mas` (MAS scale 0.02) and `semantics_tpch`
-/// (TPC-H scale 0.01) criterion benches — and return the records.
-/// `quick` shortens warm-up/measurement for CI smoke runs; committed
-/// `BENCH_*.json` files must use `quick = false`.
-pub fn bench_json_records(quick: bool) -> Vec<BenchRecord> {
-    use std::time::Duration;
-    let (warm, meas, iters) = if quick {
-        (Duration::from_millis(30), Duration::from_millis(100), 3)
-    } else {
-        (Duration::from_millis(400), Duration::from_millis(1200), 10)
-    };
-    let mut records = Vec::new();
-    let mut run_group = |group: &str, db: &Instance, workloads: &[Workload], names: &[&str]| {
-        for name in names {
-            let w = workloads
-                .iter()
-                .find(|w| w.name == *name)
-                .expect("workload present");
-            let session = session_for(db, w);
-            for sem in SEM_ORDER {
-                // Force a full computation per iteration: repeated
-                // identical end requests on an unmutated session are
-                // otherwise served from the incremental checkpoint in ~1µs,
-                // which is the service win but not the hot path these
-                // records track against earlier BENCH_*.json baselines.
-                // The incremental path has its own group below.
-                let request = repair_core::RepairRequest::new(sem).incremental(false);
-                let (mean_ns, iterations) = measure_mean_ns(warm, meas, iters, || {
-                    std::hint::black_box(session.repair(&request).expect("valid").size());
-                });
-                records.push(BenchRecord {
-                    bench: format!("{group}/{}/{name}", sem.name()),
-                    mean_ns,
-                    iterations,
-                    size: None,
-                });
-            }
-        }
-    };
-    let mas = MasLab::at_scale(0.02);
-    run_group(
-        "fig7_mas_semantics",
-        &mas.data.db,
-        &mas.workloads,
-        &["mas-02", "mas-08", "mas-11", "mas-20"],
-    );
-    let tpch = TpchLab::at_scale(0.01);
-    run_group(
-        "fig9b_tpch_semantics",
-        &tpch.data.db,
-        &tpch.workloads,
-        &["tpch-2", "tpch-4", "tpch-5"],
-    );
-    incremental_rerepair_records(quick, &mut records);
-    durability_cold_open_records(quick, &mut records);
-    planner_records(quick, &mut records);
-    records
-}
-
-/// The `planner` group: the adversarially ordered `zipf-pessimal` join
-/// enumerated under the static textual-order planner and the cost-based
-/// planner — the `planner/{static,cost}/zipf-pessimal` pair whose ratio is
-/// the headline planning speedup, gated by `scripts/bench_gate.py
-/// --min-plan-speedup`. The workload's body leads with the 60K-row `Leaf`
-/// and buries the `k = 'bad'`-filtered `Hub` last, so textual order drives
-/// the join from the biggest relation while live statistics drive it from
-/// the ~2% selective one. Both evaluators enumerate the same assignment
-/// set; each record carries the assignment count as `size` so the gate can
-/// assert parity. Scale overrides via `REPRO_PLANNER_ZIPF`.
-fn planner_records(quick: bool, records: &mut Vec<BenchRecord>) {
-    use datalog::Evaluator;
-    use std::time::Duration;
-    let (warm, meas, iters) = if quick {
-        (Duration::from_millis(20), Duration::from_millis(80), 2)
-    } else {
-        (Duration::from_millis(300), Duration::from_millis(1000), 5)
-    };
-    let zipf = ZipfLab::at_scale(if quick {
-        0.1
-    } else {
-        env_f64("REPRO_PLANNER_ZIPF", 1.0)
-    });
-    let w = zipf
-        .workloads
-        .iter()
-        .find(|w| w.name == "zipf-pessimal")
-        .expect("workload present");
-    let mut counts: Vec<u64> = Vec::new();
-    for mode in ["static", "cost"] {
-        let mut db = zipf.data.db.clone();
-        let ev = if mode == "cost" {
-            Evaluator::new(&mut db, w.program.clone())
-        } else {
-            Evaluator::new_static(&mut db, w.program.clone())
-        }
-        .expect("zipf program valid");
-        let state0 = db.initial_state();
-        let mut n = 0u64;
-        let (mean_ns, iterations) = measure_mean_ns(warm, meas, iters, || {
-            let mut c = 0u64;
-            ev.for_each_assignment(&db, &state0, datalog::Mode::Hypothetical, &mut |_| {
-                c += 1;
-                true
-            });
-            n = std::hint::black_box(c);
-        });
-        counts.push(n);
-        records.push(BenchRecord {
-            bench: format!("planner/{mode}/zipf-pessimal"),
-            mean_ns,
-            iterations,
-            size: Some(n as usize),
-        });
-    }
-    assert!(
-        counts.windows(2).all(|c| c[0] == c[1]),
-        "planner parity violated on zipf-pessimal: {counts:?}"
-    );
-}
-
-/// The cold-start cost of a durable session: opening the newest snapshot
-/// (binary decode + WAL replay) versus re-ingesting the same database from
-/// its TSV dump — the `durability/{cold_open,tsv_ingest}` pair. Both paths
-/// produce a ready [`Instance`]; everything downstream (session build,
-/// planning) is identical, so the pair isolates exactly what `open_durable`
-/// saves over the pre-durability "reload the TSV" cold start. Measured on
-/// the zipf universe at scale 2.5, 0.25 in quick mode (override via
-/// `REPRO_DURABILITY_ZIPF`); gated by `scripts/bench_gate.py
-/// --min-cold-open-speedup`.
-fn durability_cold_open_records(quick: bool, records: &mut Vec<BenchRecord>) {
-    use std::path::Path;
-    use std::sync::Arc;
-    use std::time::Duration;
-    use storage::{DiskOptions, DiskStore, FsyncPolicy, MemIo, SessionMeta};
-    let (warm, meas, iters) = if quick {
-        (Duration::from_millis(20), Duration::from_millis(80), 2)
-    } else {
-        (Duration::from_millis(300), Duration::from_millis(1000), 5)
-    };
-    let zipf = ZipfLab::at_scale(if quick {
-        0.25
-    } else {
-        env_f64("REPRO_DURABILITY_ZIPF", 2.5)
-    });
-    let db = &zipf.data.db;
-    let tsv = storage::tsv::to_tsv_typed(db);
-    // An in-memory store keeps the pair an apples-to-apples CPU comparison
-    // (snapshot decode vs text parse), free of device variance.
-    let io: Arc<MemIo> = Arc::new(MemIo::new());
-    let dir = Path::new("/bench-store");
-    let opts = || DiskOptions {
-        fsync: FsyncPolicy::OnCheckpoint,
-        io: io.clone(),
-        checkpoint_every: 0,
-    };
-    DiskStore::create(dir, opts(), db, &SessionMeta::default()).expect("in-memory store");
-    let rows = db.total_rows();
-    let (mean_ns, iterations) = measure_mean_ns(warm, meas, iters, || {
-        let (_, recovered, _, _) = DiskStore::open(dir, opts()).expect("clean store");
-        assert_eq!(std::hint::black_box(recovered).total_rows(), rows);
-    });
-    records.push(BenchRecord {
-        bench: "durability/cold_open/zipf".into(),
-        mean_ns,
-        iterations,
-        size: None,
-    });
-    let (mean_ns, iterations) = measure_mean_ns(warm, meas, iters, || {
-        let ingested = storage::tsv::load_document(&tsv).expect("own dump");
-        assert_eq!(std::hint::black_box(ingested).total_rows(), rows);
-    });
-    records.push(BenchRecord {
-        bench: "durability/tsv_ingest/zipf".into(),
-        mean_ns,
-        iterations,
-        size: None,
-    });
-}
-
-/// The mutate → re-repair loop a long-lived session serves: delete a ≤1%
-/// spread of tuples, repair, restore them, repair again. Each id is
-/// measured per *loop iteration* (two re-repairs plus the two mutations),
-/// once with the incrementally maintained checkpoint and once forced
-/// through full recomputes — the `incremental_rerepair/{incremental,full}`
-/// ratio is the headline incremental speedup, on the **largest** tracked
-/// MAS and TPC-H workloads at a heavier scale than the fig7/fig9b groups.
-fn incremental_rerepair_records(quick: bool, records: &mut Vec<BenchRecord>) {
-    use repair_core::RepairRequest;
-    use std::time::Duration;
-    let (warm, meas, iters) = if quick {
-        (Duration::from_millis(30), Duration::from_millis(120), 3)
-    } else {
-        (Duration::from_millis(400), Duration::from_millis(1500), 10)
-    };
-    let mas = MasLab::at_scale(0.1);
-    let tpch = TpchLab::at_scale(0.05);
-    let picks: [(&Instance, &[Workload], &str); 2] = [
-        (&mas.data.db, &mas.workloads, "mas-08"),
-        (&tpch.data.db, &tpch.workloads, "tpch-2"),
-    ];
-    for (db, workloads, name) in picks {
-        let w = workloads
-            .iter()
-            .find(|w| w.name == name)
-            .expect("workload present");
-        // A ≤1% delta: every 500th live tuple (0.2%), spread across all
-        // relations so deletions land inside real join cones.
-        let ids: Vec<storage::TupleId> = db
-            .all_tuple_ids()
-            .enumerate()
-            .filter(|(i, _)| i % 500 == 250)
-            .map(|(_, t)| t)
-            .collect();
-        assert!(!ids.is_empty(), "scale too small for a 0.2% delta");
-        for mode in ["incremental", "full"] {
-            let mut session = session_for(db, w);
-            let request = RepairRequest::new(Semantics::End).incremental(mode == "incremental");
-            session.repair(&request).expect("valid request"); // prime / warm
-            let (mean_ns, iterations) = measure_mean_ns(warm, meas, iters, || {
-                session.delete_batch(&ids).expect("live ids");
-                let after_delete = session.repair(&request).expect("valid request");
-                session.restore_batch(&ids).expect("tombstoned ids");
-                let after_restore = session.repair(&request).expect("valid request");
-                std::hint::black_box(after_delete.size() + after_restore.size());
-            });
-            records.push(BenchRecord {
-                bench: format!("incremental_rerepair/{mode}/{name}"),
-                mean_ns,
-                iterations,
-                size: None,
-            });
-        }
-    }
-}
-
-/// `(year, month, day)` of a Unix timestamp (civil-from-days, UTC).
-fn civil_date(secs: u64) -> (i64, u32, u32) {
-    let days = (secs / 86_400) as i64;
-    let z = days + 719_468;
-    let era = z.div_euclid(146_097);
-    let doe = z.rem_euclid(146_097);
-    let yoe = (doe - doe / 1460 + doe / 36_524 - doe / 146_096) / 365;
-    let y = yoe + era * 400;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let d = (doy - (153 * mp + 2) / 5 + 1) as u32;
-    let m = if mp < 10 { mp + 3 } else { mp - 9 } as u32;
-    (if m <= 2 { y + 1 } else { y }, m, d)
-}
-
-/// Render one mode's records in the committed `BENCH_*.json` layout. Files
-/// with several modes are produced by one invocation per mode and merging
-/// the `runs` objects; see EXPERIMENTS.md.
-pub fn render_bench_json(mode: &str, records: &[BenchRecord]) -> String {
-    use std::fmt::Write as _;
-    let (y, m, d) = civil_date(
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0),
-    );
-    let hardware = std::env::var("BENCH_JSON_HARDWARE")
-        .unwrap_or_else(|_| "CI container, 1 vCPU (see EXPERIMENTS.md)".to_owned());
-    let mut out = String::new();
-    out.push_str("{\n \"meta\": {\n");
-    let _ = writeln!(out, "  \"date\": \"{y:04}-{m:02}-{d:02}\",");
-    let _ = writeln!(out, "  \"hardware\": \"{hardware}\",");
-    out.push_str(
-        "  \"benches\": [\n   \"semantics_mas (fig7, scale 0.02)\",\n   \"semantics_tpch (fig9, scale 0.01)\",\n   \"durability (cold_open vs tsv_ingest, zipf)\",\n   \"planner (static vs cost, zipf-pessimal)\"\n  ],\n");
-    out.push_str("  \"unit\": \"mean_ns per session.run()\"\n },\n \"runs\": {\n");
-    let _ = writeln!(out, "  \"{mode}\": [");
-    for (i, r) in records.iter().enumerate() {
-        let comma = if i + 1 == records.len() { "" } else { "," };
-        let size = r
-            .size
-            .map(|s| format!("\n    \"size\": {s},"))
-            .unwrap_or_default();
-        let _ = writeln!(
-            out,
-            "   {{\n    \"bench\": \"{}\",{size}\n    \"mean_ns\": {:.1},\n    \"iterations\": {}\n   }}{comma}",
-            r.bench, r.mean_ns, r.iterations
-        );
-    }
-    out.push_str("  ]\n }\n}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -522,57 +210,6 @@ mod tests {
     fn env_parsing_defaults() {
         assert_eq!(env_f64("REPRO_NO_SUCH_VAR_XYZ", 0.25), 0.25);
         assert_eq!(env_usize("REPRO_NO_SUCH_VAR_XYZ", 7), 7);
-    }
-
-    #[test]
-    fn civil_date_known_values() {
-        assert_eq!(civil_date(0), (1970, 1, 1));
-        assert_eq!(civil_date(86_400), (1970, 1, 2));
-        // 2026-07-30 00:00:00 UTC.
-        assert_eq!(civil_date(1_785_369_600), (2026, 7, 30));
-    }
-
-    #[test]
-    fn bench_json_renders_parseable_schema() {
-        let records = vec![
-            BenchRecord {
-                bench: "fig7_mas_semantics/end/mas-02".into(),
-                mean_ns: 1234.5,
-                iterations: 100,
-                size: None,
-            },
-            BenchRecord {
-                bench: "planner/cost/zipf-pessimal".into(),
-                mean_ns: 9.0,
-                iterations: 3,
-                size: Some(77),
-            },
-        ];
-        let out = render_bench_json("serial", &records);
-        // Structural spot-checks (no JSON parser in the offline build).
-        assert!(out.contains("\"runs\""));
-        assert!(out.contains("\"serial\": ["));
-        assert!(out.contains("\"bench\": \"fig7_mas_semantics/end/mas-02\""));
-        assert!(out.contains("\"mean_ns\": 1234.5"));
-        assert!(out.contains("\"iterations\": 3"));
-        assert!(out.contains("\"size\": 77"));
-        assert_eq!(out.matches("\"bench\"").count(), 2);
-        assert_eq!(
-            out.matches("\"size\"").count(),
-            1,
-            "size only when recorded"
-        );
-    }
-
-    #[test]
-    fn measure_mean_ns_runs_at_least_min_iters() {
-        use std::time::Duration;
-        let mut n = 0u64;
-        let (mean, iters) =
-            measure_mean_ns(Duration::ZERO, Duration::ZERO, 5, || n = n.wrapping_add(1));
-        assert!(iters >= 5);
-        assert!(mean >= 0.0);
-        assert!(n >= 5);
     }
 
     #[test]

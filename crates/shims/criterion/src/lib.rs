@@ -5,20 +5,17 @@
 //! timed iterations until `measurement_time` has elapsed *and* at least
 //! `sample_size` iterations have been taken, then reports the mean. One
 //! line per benchmark goes to stdout; when `CRITERION_SHIM_JSON` names a
-//! file, a JSON record per benchmark is appended there (that is how
-//! `BENCH_baseline.json` is produced).
+//! file, a JSON record per benchmark is appended there.
 
 use std::fmt::Display;
 use std::fs::OpenOptions;
 use std::io::Write as _;
 use std::time::{Duration, Instant};
 
-/// The shim's measurement policy as a reusable function: warm up for
+/// The shim's measurement policy behind [`Bencher::iter`]: warm up for
 /// `warm_up`, then time iterations until `measurement` has elapsed *and*
 /// at least `min_iters` iterations ran; returns `(mean_ns, iterations)`.
-/// [`Bencher::iter`] and the `repro bench-json` emitter both call this, so
-/// committed `BENCH_*.json` records always use criterion-identical timing.
-pub fn measure_mean_ns(
+fn measure_mean_ns(
     warm_up: Duration,
     measurement: Duration,
     min_iters: u64,
@@ -290,6 +287,16 @@ mod tests {
         });
         g.finish();
         assert!(ran >= 5, "at least sample_size iterations must run");
+    }
+
+    #[test]
+    fn measure_mean_ns_runs_at_least_min_iters() {
+        let mut n = 0u64;
+        let (mean, iters) =
+            measure_mean_ns(Duration::ZERO, Duration::ZERO, 5, || n = n.wrapping_add(1));
+        assert!(iters >= 5);
+        assert!(mean >= 0.0);
+        assert!(n >= 5);
     }
 
     #[test]

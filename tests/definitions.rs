@@ -10,6 +10,10 @@
 //! * Def. 3.3 (independent): `Ind(P, D)` is a smallest `S` that is
 //!   stabilizing, found here by enumerating subsets of `D` in increasing
 //!   size.
+//! * Def. 3.5 (step): starting from `S = ∅`, fire one satisfied assignment
+//!   of one rule on `(D \ S) ∪ Δ(S)` and add its head to `S`, until the
+//!   state is stable; `Step(P, D)` is a smallest such end state. Found here
+//!   by breadth-first search over every firing sequence.
 //! * Def. 3.7 (stage): starting from `S = ∅`, every rule fires on
 //!   `(D \ S) ∪ Δ(S)`; the heads of one stage join `S` as one batch; stop
 //!   at the first stage that derives nothing.
@@ -24,14 +28,17 @@
 //! served lazy loop, the same request with the static certificates on, and
 //! Algorithm 1 itself — has the oracle's size and is stabilizing by the
 //! oracle's own check; End and Stage delete exactly the oracles' sets,
-//! with the certificates on and off.
+//! with the certificates on and off; Step, greedy or certified, deletes
+//! one of the oracle's reachable end states, a proven Step outcome and the
+//! exhaustive `step::optimal` have the oracle's minimum size.
 
 use delta_repairs::sat::MinOnesOptions;
 use delta_repairs::{
-    independent, parse_program, AttrType, Instance, RepairRequest, RepairSession, Schema,
+    independent, parse_program, step, AttrType, Instance, RepairRequest, RepairSession, Schema,
     Semantics, TupleId, Value,
 };
 use proptest::prelude::*;
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 /// Relations and their arities.
@@ -282,6 +289,36 @@ fn end_oracle(rules: &[Rule], db: &[Tuple]) -> Vec<bool> {
     }
 }
 
+/// Def. 3.5: every stable end state reachable from `S = ∅` by firing one
+/// assignment at a time, each state a bit mask over `db` (at most 14
+/// tuples). Breadth-first over the states, so each is expanded once.
+fn step_end_states(rules: &[Rule], db: &[Tuple]) -> BTreeSet<u16> {
+    let flags = |s: u16| -> Vec<bool> { (0..db.len()).map(|i| s >> i & 1 == 1).collect() };
+    let mut seen = vec![false; 1 << db.len()];
+    let mut queue = VecDeque::from([0u16]);
+    seen[0] = true;
+    let mut ends = BTreeSet::new();
+    while let Some(s) = queue.pop_front() {
+        let deleted = flags(s);
+        let present: Vec<bool> = deleted.iter().map(|&d| !d).collect();
+        let mut heads = 0u16;
+        for rule in rules {
+            for_each_head(rule, db, &present, &deleted, &mut |i| heads |= 1 << i);
+        }
+        if heads == 0 {
+            ends.insert(s);
+        }
+        for i in (0..db.len()).filter(|&i| heads >> i & 1 == 1) {
+            let next = s | 1 << i;
+            if !seen[next as usize] {
+                seen[next as usize] = true;
+                queue.push_back(next);
+            }
+        }
+    }
+    ends
+}
+
 /// Def. 3.7: each stage fires every rule on `(D \ S) ∪ Δ(S)` and deletes
 /// all of the stage's heads at once.
 fn stage_oracle(rules: &[Rule], db: &[Tuple]) -> Vec<bool> {
@@ -441,6 +478,80 @@ proptest! {
                 nonempty >= 128 && differ >= 3,
                 "End/Stage property is near-vacuous: {nonempty} nonempty End sets and \
                  {differ} Stage sets differing from End in 384 cases"
+            );
+        }
+    }
+}
+
+/// Step property tallies: cases run, cases with end states of more than
+/// one size (where the choice of firing sequence matters), greedy cases
+/// above the minimum, and the summed and largest greedy excess.
+static STEP_CASES: [AtomicUsize; 5] = [const { AtomicUsize::new(0) }; 5];
+const STEP_CASE_COUNT: u32 = 512;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(STEP_CASE_COUNT))]
+
+    #[test]
+    fn step_matches_definition_3_5(db in arb_db(), rules in arb_rules()) {
+        let source: String = rules.iter().map(render).collect();
+        let (instance, ids) = engine_db(&db);
+        let session = RepairSession::new(instance, parse_program(&source).expect("well-formed"))
+            .expect("valid");
+        let ends = step_end_states(&rules, &db);
+        let sizes: BTreeSet<u32> = ends.iter().map(|s| s.count_ones()).collect();
+        let minimum = *sizes.first().expect("some firing sequence ends") as usize;
+        let mask = |deleted: &[TupleId]| -> u16 {
+            ids.iter()
+                .enumerate()
+                .filter(|(_, t)| deleted.contains(t))
+                .map(|(i, _)| 1 << i)
+                .sum()
+        };
+        let exact = step::optimal(session.db(), session.evaluator(), usize::MAX)
+            .expect("no state limit");
+        prop_assert!(
+            ends.contains(&mask(&exact)) && exact.len() == minimum,
+            "step::optimal deleted {:?}, oracle minimum {}\n{}{:?}", exact, minimum, source, db
+        );
+        let [cases, choice, gaps, excess, widest] = &STEP_CASES;
+        for certificates in [false, true] {
+            let req = RepairRequest::new(Semantics::Step).certificates(certificates);
+            let o = session.repair(&req).expect("valid request");
+            let deleted = o.deleted();
+            prop_assert!(
+                ends.contains(&mask(deleted)) && mask(deleted).count_ones() as usize == deleted.len(),
+                "Step (certificates {}) deleted {:?}, not a reachable end state\n{}{:?}",
+                certificates, deleted, source, db
+            );
+            if o.proven_optimal() {
+                prop_assert_eq!(
+                    deleted.len(), minimum,
+                    "proven Step (certificates {}) is not a minimum\n{}{:?}",
+                    certificates, source, db
+                );
+            }
+            if !certificates {
+                let gap = deleted.len() - minimum;
+                gaps.fetch_add(usize::from(gap > 0), Relaxed);
+                excess.fetch_add(gap, Relaxed);
+                widest.fetch_max(gap, Relaxed);
+            }
+        }
+        choice.fetch_add(usize::from(sizes.len() > 1), Relaxed);
+        if cases.fetch_add(1, Relaxed) + 1 == STEP_CASE_COUNT as usize {
+            let choice = choice.load(Relaxed);
+            eprintln!(
+                "Step greedy gap: {} of {STEP_CASE_COUNT} cases ({choice} with end states of \
+                 several sizes) above the minimum, {} tuples in all, at most {} in one case",
+                gaps.load(Relaxed),
+                excess.load(Relaxed),
+                widest.load(Relaxed),
+            );
+            prop_assert!(
+                choice >= 40,
+                "Step property is near-vacuous: only {choice} of {STEP_CASE_COUNT} cases \
+                 have end states of several sizes"
             );
         }
     }
