@@ -508,21 +508,21 @@ pub fn run_explain(
             json.push_str(", \"steps\": [], \"estimated_rows\": 0, \"actual_assignments\": 0}");
             continue;
         }
-        // The hypothetical sibling plan at fraction 1.0: explain compares
-        // the estimate against hypothetical-mode actuals, where delta
-        // atoms range the full relation.
+        // The served general plan, estimated at fraction 1.0: explain
+        // compares the estimate against hypothetical-mode actuals, where
+        // delta atoms range the full relation.
         let est = datalog::cost::estimate_order(
             db,
             &cr.atoms,
             &cr.cmps,
             cr.n_vars,
-            &cr.hypothetical.order,
+            &cr.general.order,
             1.0,
         );
         json.push_str(", \"steps\": [");
         for (k, step) in est.steps.iter().enumerate() {
             let atom = &cr.atoms[step.atom];
-            let probe = &cr.hypothetical.probes[k];
+            let probe = &cr.general.probes[k];
             let name = rel_name(atom.rel);
             let delta = if atom.is_delta { "delta " } else { "" };
             let keys: Vec<&str> = probe

@@ -1,9 +1,9 @@
-//! The unified fixpoint engine behind end, stage and stability.
+//! The unified fixpoint engine behind end and stage semantics.
 //!
-//! Definitions 3.7, 3.10 and 3.12 of the paper share one computational
+//! Definitions 3.7 and 3.10 of the paper share one computational
 //! skeleton: repeatedly enumerate the satisfying assignments of the delta
 //! program against a database view, derive the head tuples, and fold them
-//! into the state — the three semantics differ only in *which view* the
+//! into the state — the two semantics differ only in *which view* the
 //! body atoms range over ([`Mode`]) and *when* deletions are applied.
 //! [`FixpointDriver`] factors that skeleton out; the policy axis is
 //! [`DeltaPolicy`]:
@@ -12,7 +12,6 @@
 //! |--------|------|-------------------|---------|
 //! | [`DeltaPolicy::AtEnd`] | frozen base relations (`R ← R⁰`) | once, at the fixpoint | end semantics (Def. 3.10) |
 //! | [`DeltaPolicy::PerStage`] | live view (`D^{t-1}`) | between rounds, in one batch | stage semantics (Def. 3.7) |
-//! | [`DeltaPolicy::Never`] | live view | never — one round, stop at the first assignment | stability checks (Def. 3.12/3.14) |
 //!
 //! `AtEnd` evaluation is **semi-naive** (each round enumerates only
 //! assignments that use at least one frontier tuple, so every assignment is
@@ -20,8 +19,12 @@
 //! `AtEnd { naive: true }` keeps the paper prototype's naive re-enumeration
 //! as the ablation baseline. `PerStage` must re-enumerate in full each
 //! round anyway, because applied deletions change which assignments exist.
+//!
+//! Stability (Def. 3.12) needs no fixpoint: one [`Round::Full`] over the
+//! live view that stops at the first assignment, which is
+//! [`Evaluator::find_violation`].
 
-use datalog::{Assignment, DeltaFrontier, EvalScratch, Evaluator, Mode};
+use datalog::{Assignment, DeltaFrontier, EvalScratch, Evaluator, Mode, Round};
 use provenance::SupportIndex;
 use std::collections::HashMap;
 use storage::{DeltaBatch, FxHashSet, Instance, State, TupleId};
@@ -39,10 +42,6 @@ pub enum DeltaPolicy {
     /// Def. 3.7: derive a whole round against the previous state, then
     /// delete the derived tuples in one batch.
     PerStage,
-    /// Def. 3.12: never apply anything — enumerate one round over the live
-    /// view and stop at the first satisfying assignment (the instability
-    /// witness).
-    Never,
 }
 
 impl DeltaPolicy {
@@ -50,21 +49,19 @@ impl DeltaPolicy {
     pub fn mode(self) -> Mode {
         match self {
             DeltaPolicy::AtEnd { .. } => Mode::FrozenBase,
-            DeltaPolicy::PerStage | DeltaPolicy::Never => Mode::Current,
+            DeltaPolicy::PerStage => Mode::Current,
         }
     }
 }
 
-/// Everything a fixpoint run can report. Fields a policy does not produce
-/// are left empty (e.g. `assignments` unless recording is on, `violation`
-/// except under [`DeltaPolicy::Never`]).
+/// Everything a fixpoint run can report. `assignments` is left empty
+/// unless recording is on.
 #[derive(Debug)]
 pub struct FixpointOutcome {
     /// Final state (deltas applied for `AtEnd`, applied per round for
-    /// `PerStage`, untouched for `Never`).
+    /// `PerStage`).
     pub state: State,
-    /// All delta tuples, ascending — the semantics' deleted set (empty
-    /// under [`DeltaPolicy::Never`], which only decides stability).
+    /// All delta tuples, ascending — the semantics' deleted set.
     pub deleted: Vec<TupleId>,
     /// The recorded assignment stream, in derivation order (semi-naive:
     /// each assignment exactly once; naive: the final round's full
@@ -77,9 +74,6 @@ pub struct FixpointOutcome {
     pub rounds: u32,
     /// Rounds that derived at least one new tuple (stage counts these).
     pub productive_rounds: u32,
-    /// Under [`DeltaPolicy::Never`]: the first satisfying assignment, i.e.
-    /// the witness that the state is unstable.
-    pub violation: Option<Assignment>,
 }
 
 /// A configured fixpoint run: an evaluator, a [`DeltaPolicy`], and whether
@@ -93,7 +87,7 @@ pub struct FixpointDriver<'e> {
 impl<'e> FixpointDriver<'e> {
     /// Driver with the policy's default recording: `AtEnd` records the
     /// assignment stream (it *is* the provenance input of Algorithm 2),
-    /// the others don't.
+    /// `PerStage` doesn't.
     pub fn new(ev: &'e Evaluator, policy: DeltaPolicy) -> FixpointDriver<'e> {
         FixpointDriver {
             ev,
@@ -113,11 +107,10 @@ impl<'e> FixpointDriver<'e> {
         self.run_from(db, db.initial_state())
     }
 
-    /// Run from an explicit state (stability checks seed the state with a
-    /// candidate deletion set first).
+    /// Run from an explicit state (the lazy Independent loop closes a
+    /// candidate deletion set this way when its deadline passes).
     pub fn run_from(&self, db: &Instance, state: State) -> FixpointOutcome {
         match self.policy {
-            DeltaPolicy::Never => self.run_one_round(db, state),
             DeltaPolicy::AtEnd { naive: false } => self.run_semi_naive(db, state),
             DeltaPolicy::AtEnd { naive: true } | DeltaPolicy::PerStage => {
                 self.run_round_based(db, state)
@@ -137,14 +130,17 @@ impl<'e> FixpointDriver<'e> {
         let mut queued: FxHashSet<TupleId> = FxHashSet::default();
 
         let mut new_heads: Vec<TupleId> = Vec::new();
-        self.enumerate(db, &state, Round::Base, &mut scratch, |a| {
-            if !state.in_delta(a.head) && queued.insert(a.head) {
-                new_heads.push(a.head);
-            }
-            if self.record {
-                assignments.push(a.clone());
-            }
-        });
+        let mode = self.policy.mode();
+        self.ev
+            .enumerate(db, &state, mode, Round::Base, &mut scratch, &mut |a| {
+                if !state.in_delta(a.head) && queued.insert(a.head) {
+                    new_heads.push(a.head);
+                }
+                if self.record {
+                    assignments.push(a.clone());
+                }
+                true
+            });
 
         let mut rounds = 1u32;
         let mut productive = 0u32;
@@ -160,14 +156,17 @@ impl<'e> FixpointDriver<'e> {
             rounds += 1;
             queued.clear();
             let mut next: Vec<TupleId> = Vec::new();
-            self.enumerate(db, &state, Round::Frontier(&frontier), &mut scratch, |a| {
-                if !state.in_delta(a.head) && queued.insert(a.head) {
-                    next.push(a.head);
-                }
-                if self.record {
-                    assignments.push(a.clone());
-                }
-            });
+            let round = Round::Frontier(&frontier);
+            self.ev
+                .enumerate(db, &state, mode, round, &mut scratch, &mut |a| {
+                    if !state.in_delta(a.head) && queued.insert(a.head) {
+                        next.push(a.head);
+                    }
+                    if self.record {
+                        assignments.push(a.clone());
+                    }
+                    true
+                });
             new_heads = next;
         }
 
@@ -180,7 +179,6 @@ impl<'e> FixpointDriver<'e> {
             layers,
             rounds,
             productive_rounds: productive,
-            violation: None,
         }
     }
 
@@ -196,6 +194,7 @@ impl<'e> FixpointDriver<'e> {
         let mut productive = 0u32;
         let mut scratch = EvalScratch::new();
         let mut queued: FxHashSet<TupleId> = FxHashSet::default();
+        let mode = self.policy.mode();
         loop {
             rounds += 1;
             if self.record {
@@ -205,19 +204,21 @@ impl<'e> FixpointDriver<'e> {
             }
             queued.clear();
             let mut new_heads: Vec<TupleId> = Vec::new();
-            self.enumerate(db, &state, Round::Full, &mut scratch, |a| {
-                let fresh = if per_stage {
-                    state.is_present(a.head)
-                } else {
-                    !state.in_delta(a.head)
-                };
-                if fresh && queued.insert(a.head) {
-                    new_heads.push(a.head);
-                }
-                if self.record {
-                    assignments.push(a.clone());
-                }
-            });
+            self.ev
+                .enumerate(db, &state, mode, Round::Full, &mut scratch, &mut |a| {
+                    let fresh = if per_stage {
+                        state.is_present(a.head)
+                    } else {
+                        !state.in_delta(a.head)
+                    };
+                    if fresh && queued.insert(a.head) {
+                        new_heads.push(a.head);
+                    }
+                    if self.record {
+                        assignments.push(a.clone());
+                    }
+                    true
+                });
             if new_heads.is_empty() {
                 break;
             }
@@ -242,75 +243,8 @@ impl<'e> FixpointDriver<'e> {
             layers,
             rounds,
             productive_rounds: productive,
-            violation: None,
         }
     }
-
-    /// One round over the live view, aborting at the first assignment —
-    /// the stability decision procedure (Def. 3.12). Only `violation` is
-    /// meaningful; `deleted` is left empty rather than re-scanning the
-    /// caller-provided delta bits.
-    fn run_one_round(&self, db: &Instance, state: State) -> FixpointOutcome {
-        let mut violation: Option<Assignment> = None;
-        self.ev
-            .for_each_assignment(db, &state, Mode::Current, &mut |a| {
-                violation = Some(a.clone());
-                false
-            });
-        FixpointOutcome {
-            state,
-            deleted: Vec::new(),
-            assignments: Vec::new(),
-            layers: HashMap::new(),
-            rounds: 1,
-            productive_rounds: 0,
-            violation,
-        }
-    }
-
-    /// Enumerate one round, feeding assignments to `f` in deterministic
-    /// `(rule, head, body)` order.
-    fn enumerate(
-        &self,
-        db: &Instance,
-        state: &State,
-        round: Round<'_>,
-        scratch: &mut EvalScratch,
-        mut f: impl FnMut(&Assignment),
-    ) {
-        let mode = self.policy.mode();
-        let mut cb = |a: &Assignment| {
-            f(a);
-            true
-        };
-        match round {
-            Round::Full => self
-                .ev
-                .for_each_assignment_with(db, state, mode, scratch, &mut cb),
-            Round::Base => self
-                .ev
-                .for_each_base_rule_assignment_with(db, state, mode, scratch, &mut cb),
-            Round::Frontier(fr) => self
-                .ev
-                .for_each_frontier_assignment_with(db, state, mode, fr, scratch, &mut cb),
-            Round::Seeded(seed) => self
-                .ev
-                .for_each_seeded_assignment_with(db, state, mode, seed, scratch, &mut cb),
-        };
-    }
-}
-
-/// Which enumeration a round performs.
-enum Round<'f> {
-    /// All rules, all assignments.
-    Full,
-    /// Rules without delta atoms (semi-naive round 1).
-    Base,
-    /// Frontier-restricted semi-naive round.
-    Frontier(&'f DeltaFrontier),
-    /// Change-seeded round of incremental maintenance: assignments binding
-    /// at least one seed tuple at any body position.
-    Seeded(&'f DeltaFrontier),
 }
 
 /// Checkpoint of the semi-naive end-semantics fixpoint, advanced in place
@@ -573,9 +507,13 @@ impl FixpointDriver<'_> {
             let mut queued: FxHashSet<TupleId> = FxHashSet::default();
             let mut new_heads: Vec<TupleId> = Vec::new();
             let mut found: Vec<Assignment> = Vec::new();
-            self.enumerate(db, &es.state, Round::Seeded(&seed), &mut scratch, |a| {
-                found.push(a.clone());
-            });
+            let mode = self.policy.mode();
+            let round = Round::Seeded(&seed);
+            self.ev
+                .enumerate(db, &es.state, mode, round, &mut scratch, &mut |a| {
+                    found.push(a.clone());
+                    true
+                });
             for a in found.drain(..) {
                 if !es.state.in_delta(a.head) && queued.insert(a.head) {
                     new_heads.push(a.head);
@@ -595,15 +533,12 @@ impl FixpointDriver<'_> {
                 }
                 queued.clear();
                 let mut next: Vec<TupleId> = Vec::new();
-                self.enumerate(
-                    db,
-                    &es.state,
-                    Round::Frontier(&frontier),
-                    &mut scratch,
-                    |a| {
+                let round = Round::Frontier(&frontier);
+                self.ev
+                    .enumerate(db, &es.state, mode, round, &mut scratch, &mut |a| {
                         found.push(a.clone());
-                    },
-                );
+                        true
+                    });
                 for a in found.drain(..) {
                     if !es.state.in_delta(a.head) && queued.insert(a.head) {
                         next.push(a.head);
@@ -648,24 +583,6 @@ mod tests {
         assert_eq!(out.productive_rounds, 3, "Example 3.8 runs in three stages");
         assert_eq!(out.rounds, 4, "plus the final unproductive round");
         assert_eq!(out.deleted.len(), 7, "stage drops the Cite tuple");
-    }
-
-    #[test]
-    fn never_policy_finds_the_witness() {
-        let (db, ev) = fixture();
-        let driver = FixpointDriver::new(&ev, DeltaPolicy::Never);
-        let unstable = driver.run(&db);
-        let witness = unstable.violation.expect("figure 1 is unstable");
-        assert_eq!(witness.rule, 0);
-        assert_eq!(db.display_tuple(witness.head), "Grant(2, ERC)");
-
-        // Seeding the state with the End deletion set stabilizes it.
-        let end = FixpointDriver::new(&ev, DeltaPolicy::AtEnd { naive: false }).run(&db);
-        let mut state = db.initial_state();
-        for &t in &end.deleted {
-            state.delete(t);
-        }
-        assert!(driver.run_from(&db, state).violation.is_none());
     }
 
     #[test]

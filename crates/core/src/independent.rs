@@ -21,7 +21,7 @@
 use crate::engine::{DeltaPolicy, FixpointDriver};
 use crate::result::PhaseBreakdown;
 use crate::stability::state_from_deleted;
-use datalog::{Assignment, DeltaFrontier, EvalScratch, Evaluator, Mode};
+use datalog::{Assignment, DeltaFrontier, EvalScratch, Evaluator, Mode, Round};
 use provenance::{ProvFormula, ProvFormulaBuilder};
 use sat::{solve_min_ones, MinOnesOptions, Outcome, Solution};
 use std::time::Instant;
@@ -149,24 +149,12 @@ pub fn serve(
             fired = true;
             true
         };
-        if rounds == 1 {
-            ev.for_each_base_rule_assignment_with(
-                db,
-                &state,
-                Mode::Current,
-                &mut scratch,
-                &mut grow,
-            );
+        let round = if rounds == 1 {
+            Round::Base
         } else {
-            ev.for_each_seeded_assignment_with(
-                db,
-                &state,
-                Mode::Current,
-                &seed,
-                &mut scratch,
-                &mut grow,
-            );
-        }
+            Round::Seeded(&seed)
+        };
+        ev.enumerate(db, &state, Mode::Current, round, &mut scratch, &mut grow);
         breakdown.eval += t.elapsed();
         if !fired {
             break;

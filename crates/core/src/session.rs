@@ -88,8 +88,6 @@ pub struct RepairRequest {
     node_budget: u64,
     time_budget: Option<Duration>,
     capture_provenance: bool,
-    decompose: bool,
-    first_solution_only: bool,
     incremental: bool,
     certificates: bool,
 }
@@ -104,8 +102,6 @@ impl RepairRequest {
             node_budget: RepairSession::DEFAULT_NODE_BUDGET,
             time_budget: None,
             capture_provenance: false,
-            decompose: true,
-            first_solution_only: false,
             incremental: true,
             certificates: true,
         }
@@ -142,20 +138,6 @@ impl RepairRequest {
     /// evaluation.
     pub fn capture_provenance(mut self, capture: bool) -> RepairRequest {
         self.capture_provenance = capture;
-        self
-    }
-
-    /// Disable connected-component decomposition in the Min-Ones search
-    /// (ablation knob; on by default).
-    pub fn decompose(mut self, decompose: bool) -> RepairRequest {
-        self.decompose = decompose;
-        self
-    }
-
-    /// Stop the Min-Ones search at its first solution — a fast stabilizing
-    /// approximation instead of the exact minimum (ablation knob).
-    pub fn first_solution_only(mut self, first_only: bool) -> RepairRequest {
-        self.first_solution_only = first_only;
         self
     }
 
@@ -214,9 +196,8 @@ impl RepairRequest {
 
     fn minones(&self) -> MinOnesOptions {
         MinOnesOptions {
-            decompose: self.decompose,
             node_budget: self.node_budget,
-            first_solution_only: self.first_solution_only,
+            ..MinOnesOptions::default()
         }
     }
 }
@@ -934,9 +915,7 @@ impl RepairSession {
     /// enumeration order (which the checkpoint does not depend on)
     /// changes. Delete-sets are bit-identical under any plan order.
     fn replan_if_drifted(&mut self) {
-        if self.ev.strategy() != datalog::PlanStrategy::CostBased
-            || self.ev.plan_drift(&self.db) < Self::REPLAN_DRIFT_THRESHOLD
-        {
+        if self.ev.plan_drift(&self.db) < Self::REPLAN_DRIFT_THRESHOLD {
             return;
         }
         let program = self.ev.program().clone();

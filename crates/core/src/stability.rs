@@ -1,10 +1,9 @@
 //! Stable databases and stabilizing sets (Definitions 3.12 and 3.14).
 //!
-//! Stability is the degenerate fixpoint: one [`crate::engine::DeltaPolicy::Never`]
-//! round over the live view, stopping at the first satisfying assignment
-//! (the instability witness).
+//! Stability needs no fixpoint: one round over the live view, stopping at
+//! the first satisfying assignment (the instability witness) —
+//! [`Evaluator::find_violation`].
 
-use crate::engine::{DeltaPolicy, FixpointDriver};
 use datalog::{Assignment, Evaluator};
 use storage::{Instance, State, TupleId};
 
@@ -20,9 +19,7 @@ pub fn state_from_deleted(db: &Instance, deleted: &[TupleId]) -> State {
 /// Is `state` stable w.r.t. the program (Def. 3.12)? Returns the witness
 /// assignment when it is not.
 pub fn violation_in(db: &Instance, ev: &Evaluator, state: State) -> Option<Assignment> {
-    FixpointDriver::new(ev, DeltaPolicy::Never)
-        .run_from(db, state)
-        .violation
+    ev.find_violation(db, &state)
 }
 
 /// Is `deleted` a stabilizing set for `db` under `ev`'s program
@@ -39,6 +36,7 @@ pub fn initially_stable(db: &Instance, ev: &Evaluator) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{DeltaPolicy, FixpointDriver};
     use crate::testkit::{figure1_instance, figure2_program, tid_of};
     use datalog::Evaluator;
 
@@ -106,6 +104,19 @@ mod tests {
             &ev,
             &[t("Grant(2, ERC)"), t("AuthGrant(4, 2)")]
         ));
+    }
+
+    #[test]
+    fn violation_in_finds_the_witness() {
+        let mut db = figure1_instance();
+        let ev = Evaluator::new(&mut db, figure2_program()).unwrap();
+        let witness = violation_in(&db, &ev, db.initial_state()).expect("figure 1 is unstable");
+        assert_eq!(witness.rule, 0);
+        assert_eq!(db.display_tuple(witness.head), "Grant(2, ERC)");
+
+        // Seeding the state with the End deletion set stabilizes it.
+        let end = FixpointDriver::new(&ev, DeltaPolicy::AtEnd { naive: false }).run(&db);
+        assert!(violation_in(&db, &ev, state_from_deleted(&db, &end.deleted)).is_none());
     }
 
     #[test]

@@ -108,22 +108,10 @@ pub struct CompiledRule {
     pub head_witness: usize,
     /// Source-order indexes of delta atoms.
     pub delta_positions: Vec<usize>,
-    /// General plan, run under [`Mode::Current`] / [`Mode::FrozenBase`] —
-    /// stage semantics and the naive ablation, where delta atoms range over
-    /// the actual (small) delta view.
-    ///
-    /// [`Mode::Current`]: crate::eval::Mode::Current
-    /// [`Mode::FrozenBase`]: crate::eval::Mode::FrozenBase
+    /// General plan, run by every unpivoted round in every mode: stage
+    /// semantics, the naive ablation, stability checks and Algorithm 1's
+    /// hypothetical enumeration.
     pub general: Plan,
-    /// The general plan's sibling for [`Mode::Hypothetical`] — Algorithm
-    /// 1's enumeration, where delta atoms range over the *full* relation.
-    /// Same admission semantics; only the join order may differ, because
-    /// the cost planner sizes delta atoms at full cardinality here and at
-    /// [`crate::cost::DELTA_FRACTION`] in `general`. The textual planner
-    /// emits the identical order for both.
-    ///
-    /// [`Mode::Hypothetical`]: crate::eval::Mode::Hypothetical
-    pub hypothetical: Plan,
     /// `pivoted[p]` is the plan whose first atom is body position `p`, for
     /// every position: the driver of semi-naive rounds (pivots at delta
     /// positions, ranging over the previous round's new deltas) and of
@@ -330,7 +318,6 @@ pub fn compile_rule(schema: &Schema, rule: &Rule) -> CompiledRule {
         atoms,
         cmps,
         delta_positions,
-        hypothetical: general.clone(),
         general,
         pivoted,
         never_fires,

@@ -36,17 +36,11 @@ use crate::compile::{plan_for_order, CompiledAtom, CompiledCmp, CompiledRule, Sl
 use storage::{FxHashMap, Instance, RelId};
 
 /// Prior fraction of a relation's live rows assumed to populate a delta
-/// view when a plan ranges a delta atom under [`crate::eval::Mode::Current`]
-/// or `FrozenBase` — the general and pivoted plans. Mirrors (and
-/// quantifies) the static planner's "delta relations are usually small"
-/// bonus. The **hypothetical** sibling plan
-/// ([`crate::compile::CompiledRule::hypothetical`]) is estimated at
-/// fraction `1.0` instead: Algorithm 1's enumeration
-/// ([`crate::eval::Mode::Hypothetical`]) ranges delta atoms over the
-/// *full* relation, and discounting them there buries a huge atom early in
-/// the order — the independent semantics then pays for it on every
-/// provenance build. One join can genuinely want two orders, which is why
-/// the rule carries both plans.
+/// view when a plan ranges a delta atom. Every plan is sized with it —
+/// the general plan, which also serves Algorithm 1's
+/// [`crate::eval::Mode::Hypothetical`] enumeration where delta atoms range
+/// over the full relation, and the pivoted plans. Mirrors (and quantifies)
+/// the static planner's "delta relations are usually small" bonus.
 pub const DELTA_FRACTION: f64 = 0.25;
 
 /// Selectivity prior for inequality comparisons (`<`, `<=`, `>`, `>=`),
@@ -83,7 +77,7 @@ struct Search<'a> {
     atoms: &'a [CompiledAtom],
     cmps: &'a [CompiledCmp],
     /// Assumed delta-view fraction for delta atoms: [`DELTA_FRACTION`]
-    /// for the general and pivoted plans, `1.0` for the hypothetical plan.
+    /// when choosing an order, any fraction when estimating one.
     delta_fraction: f64,
     bound: Vec<bool>,
     cmp_used: Vec<bool>,
@@ -210,9 +204,9 @@ impl Search<'_> {
 
 /// Estimate a *given* order without changing it — the data behind
 /// `delta-repair explain` and the W103 blow-up estimate.
-/// `delta_fraction` must match the regime the order was chosen for
-/// (`1.0` for the hypothetical plan, [`DELTA_FRACTION`] for the general
-/// and pivoted plans).
+/// `delta_fraction` sizes delta atoms: [`DELTA_FRACTION`] reproduces the
+/// estimate the order was chosen by, `1.0` estimates it under Algorithm
+/// 1's hypothetical view, where delta atoms range over the full relation.
 pub fn estimate_order(
     db: &Instance,
     atoms: &[CompiledAtom],
@@ -247,17 +241,16 @@ pub fn estimate_order(
 /// Pick an atom order greedily by minimum estimated intermediate-result
 /// size (ties: smaller fan-out, then smaller body index). `first` pins the
 /// leading atom — the pivot whose position the exactly-once admission
-/// partition depends on.
+/// partition depends on. Delta atoms are sized at [`DELTA_FRACTION`].
 pub fn choose_order(
     db: &Instance,
     atoms: &[CompiledAtom],
     cmps: &[CompiledCmp],
     n_vars: usize,
     first: Option<usize>,
-    delta_fraction: f64,
 ) -> OrderEstimate {
     let n = atoms.len();
-    let mut s = Search::new(db, atoms, cmps, n_vars, delta_fraction);
+    let mut s = Search::new(db, atoms, cmps, n_vars, DELTA_FRACTION);
     let mut order = Vec::with_capacity(n);
     let mut used = vec![false; n];
     let mut rows = 1.0_f64;
@@ -309,24 +302,14 @@ pub fn choose_order(
     OrderEstimate { order, steps, cost }
 }
 
-/// Re-derive every plan of `cr` — general, hypothetical and per-pivot —
-/// from the instance's live statistics. Pivots stay pinned first, so only
-/// the join order (and the probe specs it implies) changes.
+/// Re-derive every plan of `cr` — general and per-pivot — from the
+/// instance's live statistics. Pivots stay pinned first, so only the join
+/// order (and the probe specs it implies) changes.
 pub fn reorder_rule(db: &Instance, cr: &mut CompiledRule) {
-    // General plan: current/frozen-base regime, delta views small.
-    let est = choose_order(db, &cr.atoms, &cr.cmps, cr.n_vars, None, DELTA_FRACTION);
+    let est = choose_order(db, &cr.atoms, &cr.cmps, cr.n_vars, None);
     cr.general = plan_for_order(&cr.atoms, &cr.cmps, cr.n_vars, est.order);
-    // Hypothetical sibling: Algorithm 1 ranges delta atoms over the full
-    // relation, so size them at fraction 1.0. Identical to the general
-    // plan for delta-free bodies (the fraction never applies).
-    cr.hypothetical = if cr.delta_positions.is_empty() {
-        cr.general.clone()
-    } else {
-        let est = choose_order(db, &cr.atoms, &cr.cmps, cr.n_vars, None, 1.0);
-        plan_for_order(&cr.atoms, &cr.cmps, cr.n_vars, est.order)
-    };
     for p in 0..cr.atoms.len() {
-        let est = choose_order(db, &cr.atoms, &cr.cmps, cr.n_vars, Some(p), DELTA_FRACTION);
+        let est = choose_order(db, &cr.atoms, &cr.cmps, cr.n_vars, Some(p));
         cr.pivoted[p] = plan_for_order(&cr.atoms, &cr.cmps, cr.n_vars, est.order);
     }
 }
@@ -366,7 +349,7 @@ mod tests {
         // Textually `Big` comes first and the static planner keeps it
         // (all scores tie at zero); the stats know Big(x, 7) has 2 rows.
         let cr = rule(&s, "delta Small(x) :- Small(x), Big(x, 7).");
-        let est = choose_order(&db, &cr.atoms, &cr.cmps, cr.n_vars, None, 1.0);
+        let est = choose_order(&db, &cr.atoms, &cr.cmps, cr.n_vars, None);
         assert_eq!(est.order[0], 1, "drive from the 2-row constant probe");
         assert!(est.steps[0].fanout <= 2.5, "fanout {}", est.steps[0].fanout);
     }
@@ -375,7 +358,7 @@ mod tests {
     fn eq_comparison_uses_exact_frequency() {
         let (s, db) = setup();
         let cr = rule(&s, "delta Small(x) :- Small(x), Big(x, k), k = 7.");
-        let est = choose_order(&db, &cr.atoms, &cr.cmps, cr.n_vars, None, 1.0);
+        let est = choose_order(&db, &cr.atoms, &cr.cmps, cr.n_vars, None);
         // Big with k = 7 applied estimates 2 rows — cheaper than the
         // 10-row Small scan times a per-x probe.
         assert_eq!(est.order[0], 1);
@@ -386,14 +369,7 @@ mod tests {
         let (s, db) = setup();
         let cr = rule(&s, "delta Small(x) :- Small(x), delta Big(x, k).");
         for (i, &focus) in cr.delta_positions.iter().enumerate() {
-            let est = choose_order(
-                &db,
-                &cr.atoms,
-                &cr.cmps,
-                cr.n_vars,
-                Some(focus),
-                DELTA_FRACTION,
-            );
+            let est = choose_order(&db, &cr.atoms, &cr.cmps, cr.n_vars, Some(focus));
             assert_eq!(est.order[0], focus, "focus {i} pinned");
         }
     }
@@ -420,8 +396,8 @@ mod tests {
     fn estimates_are_deterministic() {
         let (s, db) = setup();
         let cr = rule(&s, "delta Small(x) :- Small(x), Big(x, k), k = 7.");
-        let a = choose_order(&db, &cr.atoms, &cr.cmps, cr.n_vars, None, 1.0);
-        let b = choose_order(&db, &cr.atoms, &cr.cmps, cr.n_vars, None, 1.0);
+        let a = choose_order(&db, &cr.atoms, &cr.cmps, cr.n_vars, None);
+        let b = choose_order(&db, &cr.atoms, &cr.cmps, cr.n_vars, None);
         assert_eq!(a.order, b.order);
         assert_eq!(a.cost.to_bits(), b.cost.to_bits());
     }
@@ -432,7 +408,7 @@ mod tests {
         s.relation("E", &[("x", AttrType::Int)]);
         let db = Instance::new(s.clone());
         let cr = rule(&s, "delta E(x) :- E(x).");
-        let est = choose_order(&db, &cr.atoms, &cr.cmps, cr.n_vars, None, 1.0);
+        let est = choose_order(&db, &cr.atoms, &cr.cmps, cr.n_vars, None);
         assert_eq!(est.steps[0].fanout, 0.0);
     }
 }

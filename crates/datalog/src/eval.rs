@@ -15,6 +15,11 @@
 //!   (Algorithm 1 generates provenance "for each possible delta tuple, not
 //!   only ones that can be derived").
 //!
+//! Which assignments a call produces is its [`Round`]: all of them, those
+//! of the delta-free rules, or those binding a distinguished tuple set
+//! (semi-naive and change-seeded rounds). [`Evaluator::enumerate`] runs
+//! any round under any view; it is the one enumeration entry point.
+//!
 //! The join core executes the probe plans precompiled by
 //! [`crate::compile`]: each step of a plan knows statically which columns
 //! are bound (and probes a composite index keyed on *all* of them), which
@@ -95,28 +100,48 @@ impl DeltaFrontier {
     }
 }
 
-/// How one enumeration restricts atoms to a distinguished tuple set.
-#[derive(Clone, Copy)]
-enum Focus<'a> {
-    /// No distinguished set: every atom ranges over its whole view.
-    None,
-    /// A pivoted round, run on the plan whose first atom is the pivot.
-    /// Each *partitioned* atom is classified by its body position relative
-    /// to the pivot: earlier positions exclude `set`, the pivot ranges over
-    /// it, later positions are unrestricted — on top of the ordinary view
-    /// admission. An assignment binding `set` tuples at several partitioned
-    /// positions is thus produced exactly once, at the first of them.
-    ///
-    /// `delta_only` partitions delta atoms only: the semi-naive round,
-    /// whose `set` is the previous round's new deltas. Base atoms must stay
-    /// unpartitioned there, because under [`Mode::FrozenBase`] they range
-    /// over the *original* relation and so do bind frontier tuples.
-    /// Otherwise every atom is partitioned: the change-seeded round, whose
-    /// `set` is a mutation batch.
-    Pivot {
-        set: &'a DeltaFrontier,
-        delta_only: bool,
-    },
+/// Which assignments one enumeration produces. Every caller — the four
+/// semantics, Algorithm 1 and its lazy loop, stability, incremental
+/// maintenance and the trigger engine — picks one of these and runs it
+/// through [`Evaluator::enumerate`] or [`Evaluator::enumerate_rule`].
+#[derive(Clone, Copy, Debug)]
+pub enum Round<'f> {
+    /// Every assignment of every rule, on the rule's general plan.
+    Full,
+    /// Every assignment of the rules **without** delta atoms in the body:
+    /// round 1 of semi-naive evaluation and of the lazy Independent loop.
+    Base,
+    /// Semi-naive round: every assignment that binds at least one tuple of
+    /// the frontier (the previous round's new deltas) at a *delta*
+    /// position. `state`'s delta sets must already include the frontier.
+    /// Runs the pivoted plans, one per delta position whose relation the
+    /// frontier touches; earlier delta positions exclude the frontier, the
+    /// pivot ranges over it, later ones are unrestricted, and base atoms
+    /// are not partitioned — under [`Mode::FrozenBase`] they range over the
+    /// *original* relation and so do bind frontier tuples. Each assignment
+    /// is thus produced exactly once across all rounds, in every [`Mode`].
+    Frontier(&'f DeltaFrontier),
+    /// Change-seeded round: every assignment that binds at least one seed
+    /// tuple at **any** body position, base and delta atoms alike, each
+    /// exactly once (partitioned as in [`Round::Frontier`], over every
+    /// position). After a mutation batch inserts tuples, the newly
+    /// satisfiable assignments are exactly those touching an inserted
+    /// tuple, and this round finds them in time proportional to the seed's
+    /// join cone instead of the whole database.
+    Seeded(&'f DeltaFrontier),
+}
+
+impl<'f> Round<'f> {
+    /// The distinguished set of a pivoted round, and whether only delta
+    /// atoms are partitioned by it.
+    #[inline]
+    fn pivot(self) -> Option<(&'f DeltaFrontier, bool)> {
+        match self {
+            Round::Full | Round::Base => None,
+            Round::Frontier(set) => Some((set, true)),
+            Round::Seeded(set) => Some((set, false)),
+        }
+    }
 }
 
 /// Does a pivoted round with `delta_only` partition `atom`?
@@ -303,12 +328,10 @@ impl PlannedProgram {
             let CompiledRule {
                 atoms,
                 general,
-                hypothetical,
                 pivoted,
                 ..
             } = cr;
             resolve(db, atoms, general);
-            resolve(db, atoms, hypothetical);
             for plan in pivoted {
                 resolve(db, atoms, plan);
             }
@@ -316,7 +339,6 @@ impl PlannedProgram {
         Evaluator {
             program: self.program,
             compiled: self.compiled,
-            strategy,
             planned_live,
         }
     }
@@ -340,7 +362,6 @@ pub enum PlanStrategy {
 pub struct Evaluator {
     program: Program,
     compiled: Vec<CompiledRule>,
-    strategy: PlanStrategy,
     /// Per-relation live cardinality at plan time — the fingerprint
     /// [`Evaluator::plan_drift`] compares against to decide whether the
     /// cost-based orders are stale.
@@ -359,11 +380,6 @@ impl Evaluator {
     pub fn new_static(db: &mut Instance, program: Program) -> Result<Evaluator, DatalogError> {
         Ok(PlannedProgram::plan(db.schema(), program)?
             .into_evaluator_with(db, PlanStrategy::Static))
-    }
-
-    /// The strategy the evaluator's plans were derived with.
-    pub fn strategy(&self) -> PlanStrategy {
-        self.strategy
     }
 
     /// Largest per-relation drift ratio between the live cardinalities at
@@ -405,7 +421,8 @@ impl Evaluator {
 
     /// Enumerate every assignment of every rule under `mode`. The callback
     /// returns `true` to continue; the function returns `false` iff the
-    /// callback aborted.
+    /// callback aborted. Shorthand for a [`Round::Full`]
+    /// [`Evaluator::enumerate`] with fresh scratch.
     pub fn for_each_assignment(
         &self,
         db: &Instance,
@@ -413,45 +430,35 @@ impl Evaluator {
         mode: Mode,
         f: &mut dyn FnMut(&Assignment) -> bool,
     ) -> bool {
-        self.for_each_assignment_with(db, state, mode, &mut EvalScratch::new(), f)
+        self.enumerate(db, state, mode, Round::Full, &mut EvalScratch::new(), f)
     }
 
-    /// [`Evaluator::for_each_assignment`] with caller-provided scratch.
-    pub fn for_each_assignment_with(
+    /// Enumerate one [`Round`] of every rule under `mode`, rule by rule, in
+    /// deterministic order. The callback returns `true` to continue; the
+    /// function returns `false` iff the callback aborted.
+    pub fn enumerate(
         &self,
         db: &Instance,
         state: &State,
         mode: Mode,
+        round: Round<'_>,
         scratch: &mut EvalScratch,
         f: &mut dyn FnMut(&Assignment) -> bool,
     ) -> bool {
-        for idx in 0..self.compiled.len() {
-            if !self.for_each_rule_assignment_with(idx, db, state, mode, scratch, f) {
-                return false;
-            }
-        }
-        true
+        (0..self.compiled.len())
+            .all(|idx| self.enumerate_rule(idx, db, state, mode, round, scratch, f))
     }
 
-    /// Enumerate assignments of one rule under `mode`.
-    pub fn for_each_rule_assignment(
+    /// [`Evaluator::enumerate`] restricted to rule `rule_idx`. The trigger
+    /// engine uses it, where one trigger reacts to one rule.
+    #[allow(clippy::too_many_arguments)]
+    pub fn enumerate_rule(
         &self,
         rule_idx: usize,
         db: &Instance,
         state: &State,
         mode: Mode,
-        f: &mut dyn FnMut(&Assignment) -> bool,
-    ) -> bool {
-        self.for_each_rule_assignment_with(rule_idx, db, state, mode, &mut EvalScratch::new(), f)
-    }
-
-    /// [`Evaluator::for_each_rule_assignment`] with caller-provided scratch.
-    pub fn for_each_rule_assignment_with(
-        &self,
-        rule_idx: usize,
-        db: &Instance,
-        state: &State,
-        mode: Mode,
+        round: Round<'_>,
         scratch: &mut EvalScratch,
         f: &mut dyn FnMut(&Assignment) -> bool,
     ) -> bool {
@@ -459,216 +466,17 @@ impl Evaluator {
         if cr.never_fires {
             return true;
         }
-        // Hypothetical mode ranges delta atoms over the full relation, so
-        // it gets the plan sized for that regime (identical admission
-        // semantics, possibly a different join order).
-        let plan = match mode {
-            Mode::Hypothetical => &cr.hypothetical,
-            Mode::Current | Mode::FrozenBase => &cr.general,
-        };
-        run_plan(db, state, mode, rule_idx, cr, plan, Focus::None, scratch, f)
-    }
-
-    /// Enumerate, for rules **without** delta atoms in the body, every
-    /// assignment under `mode`. This is round 1 of semi-naive evaluation.
-    pub fn for_each_base_rule_assignment(
-        &self,
-        db: &Instance,
-        state: &State,
-        mode: Mode,
-        f: &mut dyn FnMut(&Assignment) -> bool,
-    ) -> bool {
-        self.for_each_base_rule_assignment_with(db, state, mode, &mut EvalScratch::new(), f)
-    }
-
-    /// [`Evaluator::for_each_base_rule_assignment`] with caller scratch.
-    pub fn for_each_base_rule_assignment_with(
-        &self,
-        db: &Instance,
-        state: &State,
-        mode: Mode,
-        scratch: &mut EvalScratch,
-        f: &mut dyn FnMut(&Assignment) -> bool,
-    ) -> bool {
-        for (idx, cr) in self.compiled.iter().enumerate() {
-            if cr.delta_positions.is_empty()
-                && !self.for_each_rule_assignment_with(idx, db, state, mode, scratch, f)
-            {
-                return false;
+        match round.pivot() {
+            Some((set, delta_only)) => pivots(cr, set, delta_only).all(|p| {
+                let plan = &cr.pivoted[p];
+                run_plan(db, state, mode, rule_idx, cr, plan, round, scratch, f)
+            }),
+            None if matches!(round, Round::Base) && !cr.delta_positions.is_empty() => true,
+            None => {
+                let plan = &cr.general;
+                run_plan(db, state, mode, rule_idx, cr, plan, round, scratch, f)
             }
         }
-        true
-    }
-
-    /// Semi-naive round: enumerate every assignment that uses at least one
-    /// delta tuple from `frontier`.
-    ///
-    /// `state`'s delta sets must already include the frontier. Assignments
-    /// are partitioned by the *first delta* position holding a frontier
-    /// tuple (earlier delta atoms range over old deltas, later ones over
-    /// all; base atoms are not partitioned), so each assignment is produced
-    /// exactly once across all rounds. This holds in every [`Mode`].
-    pub fn for_each_frontier_assignment(
-        &self,
-        db: &Instance,
-        state: &State,
-        mode: Mode,
-        frontier: &DeltaFrontier,
-        f: &mut dyn FnMut(&Assignment) -> bool,
-    ) -> bool {
-        self.for_each_frontier_assignment_with(
-            db,
-            state,
-            mode,
-            frontier,
-            &mut EvalScratch::new(),
-            f,
-        )
-    }
-
-    /// [`Evaluator::for_each_frontier_assignment`] with caller scratch.
-    pub fn for_each_frontier_assignment_with(
-        &self,
-        db: &Instance,
-        state: &State,
-        mode: Mode,
-        frontier: &DeltaFrontier,
-        scratch: &mut EvalScratch,
-        f: &mut dyn FnMut(&Assignment) -> bool,
-    ) -> bool {
-        self.for_each_pivoted_with(db, state, mode, frontier, true, scratch, f)
-    }
-
-    /// Semi-naive round restricted to one rule: every assignment of
-    /// `rule_idx` using at least one frontier tuple. Used by the trigger
-    /// engine, where a single "after delete" trigger reacts to one deleted
-    /// row.
-    pub fn for_each_rule_frontier_assignment(
-        &self,
-        rule_idx: usize,
-        db: &Instance,
-        state: &State,
-        mode: Mode,
-        frontier: &DeltaFrontier,
-        f: &mut dyn FnMut(&Assignment) -> bool,
-    ) -> bool {
-        self.for_each_rule_frontier_assignment_with(
-            rule_idx,
-            db,
-            state,
-            mode,
-            frontier,
-            &mut EvalScratch::new(),
-            f,
-        )
-    }
-
-    /// [`Evaluator::for_each_rule_frontier_assignment`] with caller scratch.
-    #[allow(clippy::too_many_arguments)]
-    pub fn for_each_rule_frontier_assignment_with(
-        &self,
-        rule_idx: usize,
-        db: &Instance,
-        state: &State,
-        mode: Mode,
-        frontier: &DeltaFrontier,
-        scratch: &mut EvalScratch,
-        f: &mut dyn FnMut(&Assignment) -> bool,
-    ) -> bool {
-        self.for_each_rule_pivoted_with(rule_idx, db, state, mode, frontier, true, scratch, f)
-    }
-
-    /// Change-seeded round: enumerate every assignment of every rule that
-    /// binds at least one tuple from `seed` — at **any** body position,
-    /// base and delta atoms alike — under `mode`, each exactly once.
-    ///
-    /// This is the entry point of incremental maintenance: after a mutation
-    /// batch inserts tuples into the EDB, the assignments that become newly
-    /// satisfiable are exactly those touching an inserted tuple, and this
-    /// enumeration finds them in time proportional to the seed's join cone
-    /// instead of the whole database. Assignments are partitioned by the
-    /// first body position holding a seed tuple (earlier positions exclude
-    /// the seed, the pivot ranges over it, later ones are unrestricted).
-    pub fn for_each_seeded_assignment(
-        &self,
-        db: &Instance,
-        state: &State,
-        mode: Mode,
-        seed: &DeltaFrontier,
-        f: &mut dyn FnMut(&Assignment) -> bool,
-    ) -> bool {
-        self.for_each_seeded_assignment_with(db, state, mode, seed, &mut EvalScratch::new(), f)
-    }
-
-    /// [`Evaluator::for_each_seeded_assignment`] with caller scratch.
-    pub fn for_each_seeded_assignment_with(
-        &self,
-        db: &Instance,
-        state: &State,
-        mode: Mode,
-        seed: &DeltaFrontier,
-        scratch: &mut EvalScratch,
-        f: &mut dyn FnMut(&Assignment) -> bool,
-    ) -> bool {
-        self.for_each_pivoted_with(db, state, mode, seed, false, scratch, f)
-    }
-
-    /// Change-seeded round restricted to one rule: every assignment of
-    /// `rule_idx` binding at least one seed tuple, produced exactly once.
-    #[allow(clippy::too_many_arguments)]
-    pub fn for_each_rule_seeded_assignment_with(
-        &self,
-        rule_idx: usize,
-        db: &Instance,
-        state: &State,
-        mode: Mode,
-        seed: &DeltaFrontier,
-        scratch: &mut EvalScratch,
-        f: &mut dyn FnMut(&Assignment) -> bool,
-    ) -> bool {
-        self.for_each_rule_pivoted_with(rule_idx, db, state, mode, seed, false, scratch, f)
-    }
-
-    /// Every rule's pivoted round over `set`; see [`Focus::Pivot`].
-    #[allow(clippy::too_many_arguments)]
-    fn for_each_pivoted_with(
-        &self,
-        db: &Instance,
-        state: &State,
-        mode: Mode,
-        set: &DeltaFrontier,
-        delta_only: bool,
-        scratch: &mut EvalScratch,
-        f: &mut dyn FnMut(&Assignment) -> bool,
-    ) -> bool {
-        (0..self.compiled.len()).all(|idx| {
-            self.for_each_rule_pivoted_with(idx, db, state, mode, set, delta_only, scratch, f)
-        })
-    }
-
-    /// One rule's pivoted round over `set`: each pivot plan in ascending
-    /// pivot position. See [`Focus::Pivot`].
-    #[allow(clippy::too_many_arguments)]
-    fn for_each_rule_pivoted_with(
-        &self,
-        rule_idx: usize,
-        db: &Instance,
-        state: &State,
-        mode: Mode,
-        set: &DeltaFrontier,
-        delta_only: bool,
-        scratch: &mut EvalScratch,
-        f: &mut dyn FnMut(&Assignment) -> bool,
-    ) -> bool {
-        let cr = &self.compiled[rule_idx];
-        if cr.never_fires {
-            return true;
-        }
-        let focus = Focus::Pivot { set, delta_only };
-        pivots(cr, set, delta_only).all(|p| {
-            let plan = &cr.pivoted[p];
-            run_plan(db, state, mode, rule_idx, cr, plan, focus, scratch, f)
-        })
     }
 
     /// Does the rule's body contain a delta atom over `rel`? (Trigger
@@ -700,20 +508,20 @@ impl Evaluator {
     }
 }
 
-/// May body atom `ai` of a plan pivoted at `pivot` bind `tid`? The focus
-/// partition first (see [`Focus::Pivot`]), then the ordinary view
-/// admission of `mode`.
+/// May body atom `ai` of a plan pivoted at `pivot` bind `tid`? The pivoted
+/// round's partition first (see [`Round::Frontier`]), then the ordinary
+/// view admission of `mode`.
 #[inline]
 fn admitted(
     state: &State,
     mode: Mode,
-    focus: Focus<'_>,
+    round: Round<'_>,
     atom: &CompiledAtom,
     ai: usize,
     pivot: usize,
     tid: TupleId,
 ) -> bool {
-    if let Focus::Pivot { set, delta_only } = focus {
+    if let Some((set, delta_only)) = round.pivot() {
         if partitions(delta_only, atom) {
             let ok = match ai.cmp(&pivot) {
                 std::cmp::Ordering::Less => !set.contains(tid),
@@ -748,7 +556,7 @@ fn run_plan(
     rule_idx: usize,
     cr: &CompiledRule,
     plan: &Plan,
-    focus: Focus<'_>,
+    round: Round<'_>,
     scratch: &mut EvalScratch,
     f: &mut dyn FnMut(&Assignment) -> bool,
 ) -> bool {
@@ -757,7 +565,7 @@ fn run_plan(
     scratch.chosen.clear();
     scratch.chosen.resize(cr.atoms.len(), DUMMY_TID);
     scratch.key.clear();
-    step(db, state, mode, rule_idx, cr, plan, focus, 0, scratch, f)
+    step(db, state, mode, rule_idx, cr, plan, round, 0, scratch, f)
 }
 
 /// Match `row` against step `k`'s precompiled spec and recurse on success.
@@ -773,7 +581,7 @@ fn try_row(
     rule_idx: usize,
     cr: &CompiledRule,
     plan: &Plan,
-    focus: Focus<'_>,
+    round: Round<'_>,
     k: usize,
     row: u32,
     key_start: usize,
@@ -784,7 +592,7 @@ fn try_row(
     let ai = plan.order[k];
     let atom = &cr.atoms[ai];
     let tid = TupleId::new(atom.rel, row);
-    if !admitted(state, mode, focus, atom, ai, plan.order[0], tid) {
+    if !admitted(state, mode, round, atom, ai, plan.order[0], tid) {
         return true;
     }
     let tuple = db.relation(atom.rel).tuple(row);
@@ -827,7 +635,7 @@ fn try_row(
         rule_idx,
         cr,
         plan,
-        focus,
+        round,
         k + 1,
         scratch,
         f,
@@ -844,7 +652,7 @@ fn step(
     rule_idx: usize,
     cr: &CompiledRule,
     plan: &Plan,
-    focus: Focus<'_>,
+    round: Round<'_>,
     k: usize,
     scratch: &mut EvalScratch,
     f: &mut dyn FnMut(&Assignment) -> bool,
@@ -881,7 +689,7 @@ fn step(
     macro_rules! visit {
         ($row:expr, $check_key:expr) => {
             if !try_row(
-                db, state, mode, rule_idx, cr, plan, focus, k, $row, key_start, $check_key,
+                db, state, mode, rule_idx, cr, plan, round, k, $row, key_start, $check_key,
                 scratch, f,
             ) {
                 scratch.key.truncate(key_start);
@@ -890,7 +698,7 @@ fn step(
         };
     }
 
-    if let (Focus::Pivot { set, .. }, 0) = (focus, k) {
+    if let (Some((set, _)), 0) = (round.pivot(), k) {
         // The pivot generates from the (small) distinguished set directly,
         // whatever the atom's flavor; the key becomes a per-row filter and
         // `admitted` supplies the view membership.
@@ -990,6 +798,22 @@ mod tests {
         .unwrap()
     }
 
+    /// Every assignment of one `round`, in enumeration order.
+    fn collect(
+        ev: &Evaluator,
+        db: &Instance,
+        state: &State,
+        mode: Mode,
+        round: Round<'_>,
+    ) -> Vec<Assignment> {
+        let mut out = Vec::new();
+        ev.enumerate(db, state, mode, round, &mut EvalScratch::new(), &mut |a| {
+            out.push(a.clone());
+            true
+        });
+        out
+    }
+
     fn count_all(ev: &Evaluator, db: &Instance, state: &State, mode: Mode) -> usize {
         let mut n = 0;
         ev.for_each_assignment(db, state, mode, &mut |_| {
@@ -1079,11 +903,13 @@ mod tests {
         let mut frontier = DeltaFrontier::empty(&db);
         frontier.insert(a2);
         frontier.insert(a3);
-        let mut seen = Vec::new();
-        ev.for_each_frontier_assignment(&db, &state, Mode::FrozenBase, &frontier, &mut |a| {
-            seen.push(a.clone());
-            true
-        });
+        let seen = collect(
+            &ev,
+            &db,
+            &state,
+            Mode::FrozenBase,
+            Round::Frontier(&frontier),
+        );
         // Rules 2 and 3 each have two assignments through the new deltas;
         // rule 1 has none (its delta atom Δ(Grant) is not in the frontier).
         assert_eq!(seen.len(), 4);
@@ -1114,11 +940,13 @@ mod tests {
         state.mark_delta(b0);
         let mut frontier = DeltaFrontier::empty(&db);
         frontier.insert(b0);
-        let mut seen = Vec::new();
-        ev.for_each_frontier_assignment(&db, &state, Mode::Hypothetical, &frontier, &mut |a| {
-            seen.push(a.clone());
-            true
-        });
+        let seen = collect(
+            &ev,
+            &db,
+            &state,
+            Mode::Hypothetical,
+            Round::Frontier(&frontier),
+        );
         assert_eq!(seen.len(), 1);
         assert_eq!(seen[0].body[2].tid, b0);
     }
@@ -1131,10 +959,19 @@ mod tests {
         let grant = db.schema().rel_id("Grant").unwrap();
         state.delete(TupleId::new(grant, 1));
         let mut got = None;
-        ev.for_each_rule_assignment(1, &db, &state, Mode::Current, &mut |a| {
-            got = Some(a.clone());
-            false
-        });
+        let (mode, round) = (Mode::Current, Round::Full);
+        ev.enumerate_rule(
+            1,
+            &db,
+            &state,
+            mode,
+            round,
+            &mut EvalScratch::new(),
+            &mut |a| {
+                got = Some(a.clone());
+                false
+            },
+        );
         let a = got.unwrap();
         // Body of rule 1: Author(a, n), AuthGrant(a, g), ΔGrant(g, gn).
         assert_eq!(a.body.len(), 3);
@@ -1204,7 +1041,7 @@ mod tests {
         let mut scratch = EvalScratch::new();
         for mode in [Mode::Current, Mode::FrozenBase, Mode::Hypothetical] {
             let mut with_scratch = 0;
-            ev.for_each_assignment_with(&db, &state, mode, &mut scratch, &mut |_| {
+            ev.enumerate(&db, &state, mode, Round::Full, &mut scratch, &mut |_| {
                 with_scratch += 1;
                 true
             });
@@ -1245,11 +1082,7 @@ mod tests {
         for target in db.all_tuple_ids() {
             let mut seed = DeltaFrontier::empty(&db);
             seed.insert(target);
-            let mut seeded: Vec<Assignment> = Vec::new();
-            ev.for_each_seeded_assignment(&db, &state, Mode::FrozenBase, &seed, &mut |a| {
-                seeded.push(a.clone());
-                true
-            });
+            let seeded = collect(&ev, &db, &state, Mode::FrozenBase, Round::Seeded(&seed));
             let expected: Vec<&Assignment> = all
                 .iter()
                 .filter(|a| a.body.iter().any(|b| b.tid == target))
@@ -1284,19 +1117,11 @@ mod tests {
         let mut seed = DeltaFrontier::empty(&db);
         seed.insert(r0);
         seed.insert(s0);
-        let mut n = 0;
-        ev.for_each_seeded_assignment(&db, &state, Mode::FrozenBase, &seed, &mut |_| {
-            n += 1;
-            true
-        });
+        let n = collect(&ev, &db, &state, Mode::FrozenBase, Round::Seeded(&seed)).len();
         assert_eq!(n, 1);
         // Empty seed: nothing.
         let empty = DeltaFrontier::empty(&db);
-        let mut m = 0;
-        ev.for_each_seeded_assignment(&db, &state, Mode::FrozenBase, &empty, &mut |_| {
-            m += 1;
-            true
-        });
+        let m = collect(&ev, &db, &state, Mode::FrozenBase, Round::Seeded(&empty)).len();
         assert_eq!(m, 0);
     }
 

@@ -40,7 +40,8 @@ pub use cost::{OrderEstimate, StepEstimate};
 pub use dc::DenialConstraint;
 pub use error::DatalogError;
 pub use eval::{
-    Assignment, BodyBind, DeltaFrontier, EvalScratch, Evaluator, Mode, PlanStrategy, PlannedProgram,
+    Assignment, BodyBind, DeltaFrontier, EvalScratch, Evaluator, Mode, PlanStrategy,
+    PlannedProgram, Round,
 };
 pub use lint::{
     certify, json_escape, lint, lint_with_stats, recursion_diagnostic, Diagnostic,

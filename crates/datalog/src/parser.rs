@@ -49,6 +49,8 @@ struct Spanned {
 
 impl<'a> Lexer<'a> {
     fn new(src: &'a str) -> Lexer<'a> {
+        // A leading UTF-8 byte-order mark is an encoding marker, not text.
+        let src = src.strip_prefix('\u{feff}').unwrap_or(src);
         Lexer {
             text: src,
             src: src.as_bytes(),

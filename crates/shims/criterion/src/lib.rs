@@ -4,12 +4,9 @@
 //! Measurement model: each benchmark warms up for `warm_up_time`, then runs
 //! timed iterations until `measurement_time` has elapsed *and* at least
 //! `sample_size` iterations have been taken, then reports the mean. One
-//! line per benchmark goes to stdout; when `CRITERION_SHIM_JSON` names a
-//! file, a JSON record per benchmark is appended there.
+//! line per benchmark goes to stdout.
 
 use std::fmt::Display;
-use std::fs::OpenOptions;
-use std::io::Write as _;
 use std::time::{Duration, Instant};
 
 /// The shim's measurement policy behind [`Bencher::iter`]: warm up for
@@ -165,18 +162,9 @@ impl BenchmarkGroup<'_> {
 }
 
 /// The top-level harness handle.
+#[derive(Default)]
 pub struct Criterion {
-    json_path: Option<String>,
     filter: Option<String>,
-}
-
-impl Default for Criterion {
-    fn default() -> Criterion {
-        Criterion {
-            json_path: std::env::var("CRITERION_SHIM_JSON").ok(),
-            filter: None,
-        }
-    }
 }
 
 impl Criterion {
@@ -212,7 +200,7 @@ impl Criterion {
         self.filter.as_deref().is_none_or(|f| full.contains(f))
     }
 
-    fn report(&mut self, full: &str, mean_ns: f64, iters: u64) {
+    fn report(&self, full: &str, mean_ns: f64, iters: u64) {
         let pretty = if mean_ns >= 1e9 {
             format!("{:.3} s", mean_ns / 1e9)
         } else if mean_ns >= 1e6 {
@@ -223,14 +211,6 @@ impl Criterion {
             format!("{mean_ns:.0} ns")
         };
         println!("{full:<60} time: {pretty:>12}   ({iters} iterations)");
-        if let Some(path) = &self.json_path {
-            if let Ok(mut file) = OpenOptions::new().create(true).append(true).open(path) {
-                let _ = writeln!(
-                    file,
-                    "{{\"bench\": \"{full}\", \"mean_ns\": {mean_ns:.1}, \"iterations\": {iters}}}",
-                );
-            }
-        }
     }
 }
 
@@ -270,10 +250,7 @@ mod tests {
 
     #[test]
     fn bencher_measures_something() {
-        let mut c = Criterion {
-            json_path: None,
-            filter: None,
-        };
+        let mut c = Criterion::default();
         let mut g = c.benchmark_group("shim");
         g.sample_size(5)
             .warm_up_time(Duration::from_millis(1))

@@ -104,6 +104,8 @@ fn parse_typed_header(
 /// the complete instance.
 pub fn load_document(text: &str) -> Result<Instance, StorageError> {
     use crate::schema::{RelationSchema, Schema};
+    // A leading UTF-8 byte-order mark is an encoding marker, not text.
+    let text = text.strip_prefix('\u{feff}').unwrap_or(text);
     // Pass 1: collect the schema from typed headers.
     let mut schema = Schema::new();
     for (lineno, line) in text.lines().enumerate() {

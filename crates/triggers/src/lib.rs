@@ -24,7 +24,7 @@
 //! organization-deleting trigger, producing a much larger repair than step
 //! semantics would).
 
-use datalog::{DeltaFrontier, Evaluator, Mode, Program};
+use datalog::{DeltaFrontier, EvalScratch, Evaluator, Mode, Program, Round};
 use std::collections::VecDeque;
 use storage::{Instance, State, TupleId};
 
@@ -109,7 +109,9 @@ pub fn run_triggers(
     for seed in seeds {
         // The initiating DELETE statement for this rule.
         let mut heads: Vec<TupleId> = Vec::new();
-        ev.for_each_rule_assignment(seed.rule, db, &state, Mode::Current, &mut |a| {
+        let (mode, round) = (Mode::Current, Round::Full);
+        let scratch = &mut EvalScratch::new();
+        ev.enumerate_rule(seed.rule, db, &state, mode, round, scratch, &mut |a| {
             if !heads.contains(&a.head) {
                 heads.push(a.head);
             }
@@ -160,19 +162,14 @@ fn cascade(
             }
             frontier.insert(row);
             let mut heads: Vec<TupleId> = Vec::new();
-            ev.for_each_rule_frontier_assignment(
-                trig.rule,
-                db,
-                state,
-                Mode::Current,
-                &frontier,
-                &mut |a| {
-                    if state.is_present(a.head) && !heads.contains(&a.head) {
-                        heads.push(a.head);
-                    }
-                    true
-                },
-            );
+            let (mode, round) = (Mode::Current, Round::Frontier(&frontier));
+            let scratch = &mut EvalScratch::new();
+            ev.enumerate_rule(trig.rule, db, state, mode, round, scratch, &mut |a| {
+                if state.is_present(a.head) && !heads.contains(&a.head) {
+                    heads.push(a.head);
+                }
+                true
+            });
             frontier.remove(row);
             if heads.is_empty() {
                 continue;

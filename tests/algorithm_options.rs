@@ -1,50 +1,71 @@
 //! Degraded-mode guarantees of the two heuristic algorithms: whatever the
-//! request budgets, the paper's correctness claim must survive — "any
+//! solver budgets and options, the paper's correctness claim must survive — "any
 //! satisfying assignment would form a stabilizing set" (Algorithm 1), and
 //! the greedy traversal always returns a stabilizing set (Algorithm 2).
 
-use delta_repairs::{testkit, RepairRequest, RepairSession, Semantics};
+use delta_repairs::sat::MinOnesOptions;
+use delta_repairs::{independent, testkit, RepairRequest, RepairSession, Semantics};
 
 fn session() -> RepairSession {
     RepairSession::new(testkit::figure1_instance(), testkit::figure2_program()).unwrap()
 }
 
-fn degraded_requests() -> Vec<(&'static str, RepairRequest)> {
-    let ind = || RepairRequest::new(Semantics::Independent);
+/// Min-Ones options that trade the proven minimum for speed. Requests set
+/// only the node budget; the other two are solver-level ablation options.
+fn degraded_options() -> Vec<(&'static str, MinOnesOptions)> {
+    let exact = MinOnesOptions::default;
     vec![
-        ("first_solution_only", ind().first_solution_only(true)),
-        ("tiny_budget", ind().node_budget(1)),
+        (
+            "first_solution_only",
+            MinOnesOptions {
+                first_solution_only: true,
+                ..exact()
+            },
+        ),
+        (
+            "tiny_budget",
+            MinOnesOptions {
+                node_budget: 1,
+                ..exact()
+            },
+        ),
         (
             "no_decomposition",
-            ind().decompose(false).node_budget(100_000),
+            MinOnesOptions {
+                decompose: false,
+                node_budget: 100_000,
+                ..exact()
+            },
         ),
         (
             "everything_off",
-            ind()
-                .decompose(false)
-                .node_budget(1)
-                .first_solution_only(true),
+            MinOnesOptions {
+                decompose: false,
+                node_budget: 1,
+                first_solution_only: true,
+            },
         ),
     ]
 }
 
-/// Algorithm 1 under every degraded configuration still stabilizes the
-/// running example; only optimality may be lost.
+/// Algorithm 1, served by the lazy loop, under every degraded solver
+/// configuration still stabilizes the running example; only optimality
+/// may be lost.
 #[test]
 fn independent_stabilizes_under_all_solver_options() {
     let s = session();
-    for (label, req) in degraded_requests() {
-        let r = s.repair(&req).unwrap();
+    for (label, opts) in degraded_options() {
+        let r = independent::serve(s.db(), s.evaluator(), &opts, None);
         assert!(
-            s.verify_stabilizing(r.deleted()),
+            s.verify_stabilizing(&r.deleted),
             "{label}: result must stabilize"
         );
         assert!(
-            r.size() >= 3,
+            r.deleted.len() >= 3,
             "{label}: below the true minimum is impossible"
         );
         assert!(
-            r.size() <= s.db().total_rows(),
+            r.deleted.len() <= s.db().total_rows(),
             "{label}: the whole database bounds any repair"
         );
     }

@@ -9,7 +9,7 @@
 //! `stability.rs`), kept here as the executable specification the engine
 //! is judged against.
 
-use delta_repairs::datalog::{Assignment, DeltaFrontier, Evaluator, Mode};
+use delta_repairs::datalog::{Assignment, DeltaFrontier, EvalScratch, Evaluator, Mode, Round};
 use delta_repairs::{parse_program, testkit, Instance, RepairSession, TupleId};
 use std::collections::HashMap;
 
@@ -31,13 +31,21 @@ mod reference {
         let mut layers: HashMap<TupleId, u32> = HashMap::new();
 
         let mut new_heads: Vec<TupleId> = Vec::new();
-        ev.for_each_base_rule_assignment(db, &state, Mode::FrozenBase, &mut |a| {
-            if !state.in_delta(a.head) && !new_heads.contains(&a.head) {
-                new_heads.push(a.head);
-            }
-            assignments.push(a.clone());
-            true
-        });
+        let mut scratch = EvalScratch::new();
+        ev.enumerate(
+            db,
+            &state,
+            Mode::FrozenBase,
+            Round::Base,
+            &mut scratch,
+            &mut |a| {
+                if !state.in_delta(a.head) && !new_heads.contains(&a.head) {
+                    new_heads.push(a.head);
+                }
+                assignments.push(a.clone());
+                true
+            },
+        );
 
         let mut round = 1u32;
         while !new_heads.is_empty() {
@@ -50,13 +58,21 @@ mod reference {
             }
             round += 1;
             let mut next: Vec<TupleId> = Vec::new();
-            ev.for_each_frontier_assignment(db, &state, Mode::FrozenBase, &frontier, &mut |a| {
-                if !state.in_delta(a.head) && !next.contains(&a.head) {
-                    next.push(a.head);
-                }
-                assignments.push(a.clone());
-                true
-            });
+            let round = Round::Frontier(&frontier);
+            ev.enumerate(
+                db,
+                &state,
+                Mode::FrozenBase,
+                round,
+                &mut scratch,
+                &mut |a| {
+                    if !state.in_delta(a.head) && !next.contains(&a.head) {
+                        next.push(a.head);
+                    }
+                    assignments.push(a.clone());
+                    true
+                },
+            );
             new_heads = next;
         }
 

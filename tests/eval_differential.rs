@@ -26,7 +26,8 @@
 
 use delta_repairs::datalog::compile::{CompiledRule, Slot};
 use delta_repairs::datalog::{
-    parse_program, Assignment, BodyBind, DeltaFrontier, Evaluator, Mode, Program,
+    parse_program, Assignment, BodyBind, DeltaFrontier, EvalScratch, Evaluator, Mode, Program,
+    Round,
 };
 use delta_repairs::{AttrType, Instance, Schema, State, TupleId, Value};
 use proptest::prelude::*;
@@ -317,13 +318,8 @@ fn reference_rule(
         }
     }
 
-    // Mirror the engine's mode-based plan selection: hypothetical mode
-    // runs the rule's hypothetical sibling plan, everything else the
-    // general plan.
-    let order = match mode {
-        Mode::Hypothetical => &cr.hypothetical.order,
-        Mode::Current | Mode::FrozenBase => &cr.general.order,
-    };
+    // Every mode runs the rule's general plan, as the engine does.
+    let order = &cr.general.order;
     let mut env: HashMap<u32, Value> = HashMap::new();
     let mut chosen: Vec<Option<TupleId>> = vec![None; cr.atoms.len()];
     rec(
@@ -374,7 +370,8 @@ fn frontier_round(
     frontier: &DeltaFrontier,
 ) -> Vec<Assignment> {
     let mut out = Vec::new();
-    ev.for_each_frontier_assignment(db, state, mode, frontier, &mut |a| {
+    let round = Round::Frontier(frontier);
+    ev.enumerate(db, state, mode, round, &mut EvalScratch::new(), &mut |a| {
         out.push(a.clone());
         true
     });
@@ -389,7 +386,8 @@ fn seeded_round(
     seed: &DeltaFrontier,
 ) -> Vec<Assignment> {
     let mut out = Vec::new();
-    ev.for_each_seeded_assignment(db, state, mode, seed, &mut |a| {
+    let round = Round::Seeded(seed);
+    ev.enumerate(db, state, mode, round, &mut EvalScratch::new(), &mut |a| {
         out.push(a.clone());
         true
     });
@@ -508,12 +506,12 @@ proptest! {
         let mut db = build_instance(&tuples);
         let ev = Evaluator::new(&mut db, program).expect("valid by construction");
         let state = db.initial_state();
-        let mut scratch = delta_repairs::datalog::EvalScratch::new();
+        let mut scratch = EvalScratch::new();
         let mut runs: Vec<Vec<Assignment>> = Vec::new();
         for _ in 0..2 {
             for mode in [Mode::Hypothetical, Mode::Current] {
                 let mut got = Vec::new();
-                ev.for_each_assignment_with(&db, &state, mode, &mut scratch, &mut |a| {
+                ev.enumerate(&db, &state, mode, Round::Full, &mut scratch, &mut |a| {
                     got.push(a.clone());
                     true
                 });

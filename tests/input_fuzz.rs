@@ -17,7 +17,7 @@
 
 use delta_repairs::storage::disk::codec::crc32;
 use delta_repairs::storage::disk::{snapshot, wal};
-use delta_repairs::storage::tsv::load_document;
+use delta_repairs::storage::tsv::{load_document, to_tsv_typed};
 use delta_repairs::storage::{DiskOptions, FsyncPolicy, MemIo};
 use delta_repairs::testkit::{figure1_instance, figure2_program};
 use delta_repairs::{parse_program, RepairSession, Semantics, Value};
@@ -383,4 +383,22 @@ fn examples_load_unmutated() {
     }
     let tsv = std::fs::read_to_string(format!("{dir}/figure1.tsv")).unwrap();
     load_document(&tsv).expect("figure1.tsv loads");
+}
+
+/// A leading UTF-8 byte-order mark changes nothing: the program parses to
+/// the same rules at the same source positions, the document loads to the
+/// same instance.
+#[test]
+fn a_leading_byte_order_mark_is_ignored() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/programs");
+    let text = std::fs::read_to_string(format!("{dir}/figure2.dl")).unwrap();
+    let plain = parse_program(&text).unwrap();
+    let marked = parse_program(&format!("\u{feff}{text}")).expect("BOM-prefixed program parses");
+    assert_eq!(marked, plain);
+    assert_eq!(format!("{marked:?}"), format!("{plain:?}"), "spans moved");
+
+    let tsv = std::fs::read_to_string(format!("{dir}/figure1.tsv")).unwrap();
+    let plain = load_document(&tsv).unwrap();
+    let marked = load_document(&format!("\u{feff}{tsv}")).expect("BOM-prefixed document loads");
+    assert_eq!(to_tsv_typed(&marked), to_tsv_typed(&plain));
 }

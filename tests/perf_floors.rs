@@ -145,8 +145,8 @@ fn cost_planner_leads_zipf_pessimal_with_hub_and_keeps_parity() {
     let cost = Evaluator::new(&mut cost_db, w.program.clone()).expect("valid workload");
     let mut static_db = data.db.clone();
     let textual = Evaluator::new_static(&mut static_db, w.program.clone()).expect("valid workload");
-    assert_eq!(cost.compiled_rule(0).hypothetical.order, [3, 2, 1, 0]);
-    assert_eq!(textual.compiled_rule(0).hypothetical.order, [0, 1, 2, 3]);
+    assert_eq!(cost.compiled_rule(0).general.order, [3, 2, 1, 0]);
+    assert_eq!(textual.compiled_rule(0).general.order, [0, 1, 2, 3]);
     let n = count_assignments(&cost_db, &cost);
     assert!(n > 0, "zipf-pessimal enumerates nothing");
     assert_eq!(
