@@ -117,6 +117,11 @@ pub fn run(db: &Instance, ev: &Evaluator, opts: &MinOnesOptions) -> IndependentO
 /// satisfies — it cannot fire. The first round runs only the rules without
 /// delta atoms: under `S₀ = ∅` the delta relations are empty.
 ///
+/// A program with no delta body atom at all (lint's single-stratum
+/// certificate) stops after its first solve: with no delta atom,
+/// [`Mode::Current`] on `D` and [`Mode::Hypothetical`] coincide, so round
+/// 1 has already enumerated all of `¬F` and its minimum is the answer.
+///
 /// Budgets: `opts.node_budget` applies to each round's solve, and the
 /// outcome is `optimal` only if every solve proved its minimum. At
 /// `deadline`, checked after each check round that found violations, the
@@ -140,6 +145,7 @@ pub fn serve(
     let mut state = db.initial_state();
     let mut sat_stats = sat::Stats::default();
     let (mut rounds, mut optimal, mut timed_out) = (0, true, false);
+    let complete_after_round_1 = datalog::lint::certify(ev.program()).single_stratum;
     loop {
         let t = Instant::now();
         rounds += 1;
@@ -161,7 +167,11 @@ pub fn serve(
         }
 
         let t = Instant::now();
-        formula = pool.clone().finish();
+        formula = if complete_after_round_1 {
+            std::mem::take(&mut pool).finish()
+        } else {
+            pool.clone().finish()
+        };
         breakdown.process += t.elapsed();
         if deadline.is_some_and(|d| Instant::now() >= d) {
             let t = Instant::now();
@@ -179,6 +189,10 @@ pub fn serve(
         sat_stats.absorb(&solution.stats);
         let next = delete_set(&formula, &solution);
         let next_state = state_from_deleted(db, &next);
+        if complete_after_round_1 {
+            (state, deleted) = (next_state, next);
+            break;
+        }
         // The next seed: the tuples in exactly one of `Sₖ` and `Sₖ₊₁`.
         for &tid in &flipped {
             seed.remove(tid);
@@ -353,6 +367,21 @@ mod tests {
         assert_eq!(lazy.rounds, 3);
         assert_eq!(lazy.formula.len(), 3);
         assert_eq!(eager.rounds, 0);
+    }
+
+    #[test]
+    fn lazy_loop_stops_after_one_round_without_delta_atoms() {
+        // No delta body atom: round 1 enumerates all of ¬F, so its model
+        // is the answer and no confirming round runs.
+        let mut db = tiny_instance(&[1, 2, 3, 4, 5], &[9], &[]);
+        let program = parse_program("delta R1(x) :- R1(x), R2(y).").unwrap();
+        let ev = Evaluator::new(&mut db, program).unwrap();
+        let lazy = serve(&db, &ev, &MinOnesOptions::default(), None);
+        assert_eq!(lazy.rounds, 1);
+        assert!(lazy.optimal && !lazy.timed_out);
+        assert_eq!(lazy.deleted, default_run(&db, &ev).deleted);
+        assert_eq!(names_of(&db, &lazy.deleted), vec!["R2(9)"]);
+        assert!(ev.is_stable(&db, &lazy.state));
     }
 
     #[test]

@@ -758,7 +758,7 @@ impl RepairSession {
                     .map(|e| match e.kind {
                         MutationKind::Insert => WalRecord::Insert {
                             rel: e.tid.rel,
-                            values: db.tuple(e.tid).values().to_vec(),
+                            values: db.tuple(e.tid).to_vec(),
                         },
                         MutationKind::Delete => WalRecord::Delete { tid: e.tid },
                         MutationKind::Restore => WalRecord::Restore { tid: e.tid },

@@ -291,7 +291,7 @@ pub fn generate(cfg: &MasConfig) -> MasData {
     let author_rel = db.schema().rel_id("Author").expect("schema");
     for (_, t) in db.relation(author_rel).iter() {
         *name_counts
-            .entry(t.get(1).as_str().expect("string"))
+            .entry(t[1].as_str().expect("string"))
             .or_insert(0) += 1;
     }
     // Ties on count are broken lexicographically so the constant wired into
@@ -367,7 +367,7 @@ mod tests {
         let author = s.rel_id("Author").unwrap();
         let mut counts = std::collections::HashMap::new();
         for (_, t) in d.db.relation(author).iter() {
-            *counts.entry(t.get(2).as_int().unwrap()).or_insert(0usize) += 1;
+            *counts.entry(t[2].as_int().unwrap()).or_insert(0usize) += 1;
         }
         let max = counts.values().copied().max().unwrap();
         assert_eq!(counts[&d.busiest_org], max);
@@ -380,14 +380,14 @@ mod tests {
         let s = d.db.schema();
         let writes = s.rel_id("Writes").unwrap();
         for (_, t) in d.db.relation(writes).iter() {
-            let aid = t.get(0).as_int().unwrap();
-            let pid = t.get(1).as_int().unwrap();
+            let aid = t[0].as_int().unwrap();
+            let pid = t[1].as_int().unwrap();
             assert!(aid >= 0 && (aid as usize) < 300);
             assert!(pid >= 0 && (pid as usize) < 400);
         }
         let cite = s.rel_id("Cite").unwrap();
         for (_, t) in d.db.relation(cite).iter() {
-            assert_ne!(t.get(0), t.get(1), "no self citations");
+            assert_ne!(t[0], t[1], "no self citations");
         }
     }
 

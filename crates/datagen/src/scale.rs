@@ -192,11 +192,11 @@ mod tests {
         let s = d.db.schema();
         let hub = s.rel_id("Hub").unwrap();
         let (_, t) = d.db.relation(hub).iter().next().unwrap();
-        assert_eq!(t.get(1).as_str(), Some("bad"));
+        assert_eq!(t[1].as_str(), Some("bad"));
         let link = s.rel_id("Link").unwrap();
         let mut per_hub = std::collections::HashMap::new();
         for (_, t) in d.db.relation(link).iter() {
-            *per_hub.entry(t.get(0).as_int().unwrap()).or_insert(0usize) += 1;
+            *per_hub.entry(t[0].as_int().unwrap()).or_insert(0usize) += 1;
         }
         let max = per_hub.values().copied().max().unwrap();
         assert_eq!(per_hub[&0], max, "hub 0 owns the most links");

@@ -321,9 +321,9 @@ mod tests {
         let s = d.db.schema();
         let li = s.rel_id("Lineitem").unwrap();
         for (_, t) in d.db.relation(li).iter() {
-            assert!(t.get(0).as_int().unwrap() < 100);
-            assert!(t.get(1).as_int().unwrap() < 20);
-            assert!(t.get(2).as_int().unwrap() < 60);
+            assert!(t[0].as_int().unwrap() < 100);
+            assert!(t[1].as_int().unwrap() < 20);
+            assert!(t[2].as_int().unwrap() < 60);
         }
     }
 

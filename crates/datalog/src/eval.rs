@@ -599,20 +599,20 @@ fn try_row(
     let spec = &plan.probes[k];
     if check_key {
         for (i, &col) in spec.key_cols.iter().enumerate() {
-            if *tuple.get(col) != scratch.key[key_start + i] {
+            if tuple[col] != scratch.key[key_start + i] {
                 return true;
             }
         }
     }
     for &(col, earlier) in &spec.same_cols {
-        if tuple.get(col) != tuple.get(earlier) {
+        if tuple[col] != tuple[earlier] {
             return true;
         }
     }
     // Fresh variables: statically bound-before-use, so failed candidates
     // need no undo — the next row simply overwrites.
     for &(col, var) in &spec.bind_cols {
-        scratch.bind[var as usize] = *tuple.get(col);
+        scratch.bind[var as usize] = tuple[col];
     }
     // Comparisons that became checkable at this step.
     for &ci in &plan.cmps_after[k] {

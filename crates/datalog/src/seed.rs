@@ -16,12 +16,7 @@ use storage::{Instance, TupleId};
 /// The ground seed rule `ΔR(c̄) :- R(c̄).` for one tuple.
 pub fn seed_rule(db: &Instance, tuple: TupleId) -> Rule {
     let rel = db.schema().rel(tuple.rel);
-    let terms: Vec<Term> = db
-        .tuple(tuple)
-        .values()
-        .iter()
-        .map(|v| Term::Const(*v))
-        .collect();
+    let terms: Vec<Term> = db.tuple(tuple).iter().map(|v| Term::Const(*v)).collect();
     let head = Atom::delta(&rel.name, terms.clone());
     let body = Atom::base(&rel.name, terms);
     Rule::new(head, vec![body], Vec::new())

@@ -12,7 +12,6 @@ use super::{
 };
 use crate::error::StorageError;
 use crate::instance::Instance;
-use crate::tuple::Tuple;
 use std::path::Path;
 
 /// What recovery found and did.
@@ -294,7 +293,7 @@ fn apply_batch(
                 }
                 let expected_row = db.relation(rel).num_rows() as u32;
                 let tid = db
-                    .insert(rel, Tuple::new(values))
+                    .insert(rel, values)
                     .map_err(|e| format!("replayed insert rejected: {e}"))?;
                 if tid.row != expected_row {
                     return Err(format!(

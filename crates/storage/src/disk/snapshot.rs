@@ -25,7 +25,7 @@ use crate::bitset::BitSet;
 use crate::instance::Instance;
 use crate::relation::Relation;
 use crate::schema::RelId;
-use crate::tuple::{Tuple, TupleId};
+use crate::tuple::TupleId;
 use crate::value::Value;
 use crate::FxHashMap;
 
@@ -54,7 +54,7 @@ pub fn encode(gen: u64, db: &Instance, meta: &SessionMeta) -> Vec<u8> {
     let mut symbols: Vec<&'static str> = Vec::new();
     for (rel, _) in db.schema().iter() {
         for (_, t) in db.relation(rel).iter() {
-            for v in t.values() {
+            for v in t {
                 if let Value::Str(s) = v {
                     sym_index.entry(s.id()).or_insert_with(|| {
                         symbols.push(s.as_str());
@@ -73,7 +73,7 @@ pub fn encode(gen: u64, db: &Instance, meta: &SessionMeta) -> Vec<u8> {
         let r = db.relation(rel);
         codec::put_u64(&mut out, r.num_rows() as u64);
         for (_, t) in r.iter() {
-            for v in t.values() {
+            for v in t {
                 match v {
                     Value::Int(i) => {
                         out.push(0);
@@ -157,10 +157,10 @@ pub fn decode(bytes: &[u8]) -> Result<SnapshotData, String> {
                 r.remaining()
             ));
         }
-        // A value is at least a tag plus a u32 symbol reference.
-        let mut tuples = Vec::with_capacity(r.capacity_for(rows, 5 * rs.arity()));
+        // A value is at least a tag plus a u32 symbol reference. The rows
+        // are read straight into the relation's row-major value array.
+        let mut values = Vec::with_capacity(r.capacity_for(rows.saturating_mul(rs.arity()), 5));
         for _ in 0..rows {
-            let mut values = Vec::with_capacity(rs.arity());
             for attr in &rs.attrs {
                 let v = match r.u8()? {
                     0 => Value::Int(r.i64()?),
@@ -177,7 +177,6 @@ pub fn decode(bytes: &[u8]) -> Result<SnapshotData, String> {
                 }
                 values.push(v);
             }
-            tuples.push(Tuple::new(values));
         }
         let nwords = r.u64()? as usize;
         if nwords != rows.div_ceil(64) {
@@ -192,7 +191,7 @@ pub fn decode(bytes: &[u8]) -> Result<SnapshotData, String> {
         }
         let live = BitSet::from_words(words, rows)
             .ok_or_else(|| format!("relation `{}`: live bit set beyond row count", rs.name))?;
-        let relation = Relation::from_saved_rows(tuples, live)
+        let relation = Relation::from_saved_rows(rs.arity(), rows, values, live)
             .map_err(|e| format!("relation `{}`: {e}", rs.name))?;
         debug_assert_eq!(rel.idx(), relations.len());
         relations.push(relation);
@@ -270,6 +269,33 @@ mod tests {
         assert_eq!(snap.db.relation(rel).num_rows(), 3);
         assert_eq!(snap.db.relation(rel).live_count(), 2);
         assert!(!snap.db.relation(rel).is_live(0));
+        assert!(snap.db.indexes_consistent());
+    }
+
+    #[test]
+    fn nullary_relation_round_trips() {
+        // A relation with no attributes holds at most the empty tuple; its
+        // rows (one tombstoned, one live) must survive a snapshot even
+        // though they occupy no values.
+        let mut schema = Schema::new();
+        let flag = schema.relation("Flag", &[]);
+        schema.relation("R", &[("x", AttrType::Int)]);
+        let mut db = Instance::new(schema);
+        let first = db.insert(flag, []).unwrap();
+        assert_eq!(
+            db.insert(flag, []).unwrap(),
+            first,
+            "the empty tuple dedups"
+        );
+        db.insert_values("R", [Value::Int(1)]).unwrap();
+        db.delete_tuples([first]).unwrap();
+        let second = db.insert(flag, []).unwrap();
+        assert_eq!((first.row, second.row), (0, 1));
+        let snap = decode(&encode(0, &db, &SessionMeta::default())).unwrap();
+        assert_eq!(snap.db, db);
+        assert_eq!(snap.db.rows(flag), 2);
+        assert!(!snap.db.is_live(first) && snap.db.is_live(second));
+        assert_eq!(snap.db.tuple(second), &[] as &[Value]);
         assert!(snap.db.indexes_consistent());
     }
 

@@ -5,7 +5,7 @@ use crate::journal::{DeltaBatch, MutationJournal, MutationKind};
 use crate::relation::Relation;
 use crate::schema::{RelId, Schema};
 use crate::state::State;
-use crate::tuple::{Tuple, TupleId};
+use crate::tuple::TupleId;
 use crate::value::Value;
 
 /// A database instance: a [`Schema`] plus one [`Relation`] store per declared
@@ -85,10 +85,15 @@ impl Instance {
         &self.relations[rel.idx()]
     }
 
-    /// Insert a tuple (validated against the schema); returns its id.
-    pub fn insert(&mut self, rel: RelId, t: Tuple) -> Result<TupleId, StorageError> {
+    /// Insert the tuple `values` yields (validated against the schema and
+    /// appended straight into the relation's row array); returns its id.
+    pub fn insert(
+        &mut self,
+        rel: RelId,
+        values: impl IntoIterator<Item = Value>,
+    ) -> Result<TupleId, StorageError> {
         let rs = self.schema.rel(rel);
-        let (row, fresh) = self.relations[rel.idx()].insert_checked(rs, t)?;
+        let (row, fresh) = self.relations[rel.idx()].insert_checked(rs, values)?;
         let tid = TupleId::new(rel, row);
         if fresh {
             self.journal.record(MutationKind::Insert, tid);
@@ -103,12 +108,12 @@ impl Instance {
         values: impl IntoIterator<Item = V>,
     ) -> Result<TupleId, StorageError> {
         let rel = self.schema.require(rel_name)?;
-        let t = Tuple::new(values.into_iter().map(Into::into).collect::<Vec<_>>());
-        self.insert(rel, t)
+        self.insert(rel, values.into_iter().map(Into::into))
     }
 
-    /// The tuple behind `tid` (live or tombstoned).
-    pub fn tuple(&self, tid: TupleId) -> &Tuple {
+    /// The values of the tuple behind `tid` (live or tombstoned), borrowed
+    /// from its relation's row array.
+    pub fn tuple(&self, tid: TupleId) -> &[Value] {
         self.relations[tid.rel.idx()].tuple(tid.row)
     }
 
@@ -266,7 +271,7 @@ impl Instance {
     }
 
     /// Find the id of `t` in `rel` (whether or not any state deleted it).
-    pub fn find(&self, rel: RelId, t: &Tuple) -> Option<TupleId> {
+    pub fn find(&self, rel: RelId, t: &[Value]) -> Option<TupleId> {
         self.relations[rel.idx()]
             .find(t)
             .map(|row| TupleId::new(rel, row))
@@ -281,17 +286,6 @@ impl Instance {
     /// ascending); returns the id to pass to [`Relation::probe`].
     pub fn ensure_composite_index(&mut self, rel: RelId, cols: &[usize]) -> crate::IndexId {
         self.relations[rel.idx()].ensure_composite_index(cols)
-    }
-
-    /// Build every index on every column (used by benches and tests; the
-    /// evaluator requests only the indexes its plans need).
-    pub fn index_all(&mut self) {
-        for r in &mut self.relations {
-            let arity = r.iter().next().map(|(_, t)| t.arity()).unwrap_or(0);
-            for c in 0..arity {
-                r.ensure_index(c);
-            }
-        }
     }
 
     /// Total number of live tuples across relations.
@@ -334,7 +328,8 @@ impl Instance {
 
     /// Render `tid` as `Relation(v1, …, vn)` for messages and examples.
     pub fn display_tuple(&self, tid: TupleId) -> String {
-        format!("{}{}", self.schema.rel(tid.rel).name, self.tuple(tid))
+        let values: Vec<String> = self.tuple(tid).iter().map(Value::to_string).collect();
+        format!("{}({})", self.schema.rel(tid.rel).name, values.join(", "))
     }
 }
 
@@ -360,7 +355,7 @@ mod tests {
         let rel = db.schema().rel_id("Grant").unwrap();
         assert_eq!(db.rows(rel), 2);
         let tid = TupleId::new(rel, 1);
-        assert_eq!(db.tuple(tid).get(1), &Value::str("ERC"));
+        assert_eq!(db.tuple(tid)[1], Value::str("ERC"));
         assert_eq!(db.display_tuple(tid), "Grant(2, ERC)");
     }
 
@@ -374,7 +369,7 @@ mod tests {
     fn find_round_trips() {
         let db = grant_instance();
         let rel = db.schema().rel_id("Grant").unwrap();
-        let t = Tuple::new(vec![Value::Int(2), Value::str("ERC")]);
+        let t = [Value::Int(2), Value::str("ERC")];
         assert_eq!(db.find(rel, &t), Some(TupleId::new(rel, 1)));
     }
 

@@ -50,5 +50,5 @@ pub use relation::{IndexId, Relation};
 pub use schema::{Attr, AttrType, RelId, RelationSchema, Schema};
 pub use state::State;
 pub use stats::ColumnStats;
-pub use tuple::{Tuple, TupleId};
+pub use tuple::TupleId;
 pub use value::Value;

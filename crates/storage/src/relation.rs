@@ -5,14 +5,71 @@
 //! the dedup map and every index posting list incrementally — no rebuild.
 //! Dead rows can later be revived by [`Relation::restore_row`] (the undo
 //! path of an applied repair).
+//!
+//! The rows themselves live in one row-major value array per relation:
+//! row `r` is the `arity` values starting at `r × arity`. A tuple is a
+//! borrowed `&[Value]` into that array, so reading a row costs no pointer
+//! chase, cloning a relation copies all its rows with one `memcpy`, and
+//! nothing is allocated per row.
 
 use crate::bitset::BitSet;
 use crate::error::StorageError;
 use crate::hash::FxHashMap;
 use crate::schema::RelationSchema;
 use crate::stats::ColumnStats;
-use crate::tuple::Tuple;
 use crate::value::Value;
+
+/// Row-major tuple storage: row `r` holds `values[r × arity..][..arity]`.
+///
+/// The row count is kept explicitly, not derived from `values.len() /
+/// arity`: a nullary relation has stride 0 and holds at most the empty
+/// tuple, so its `values` stay empty whether or not that row exists.
+/// Values past the last row are a *staged* tuple — an insert validated
+/// and deduplicated in place, then committed as a row or truncated away.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct Rows {
+    arity: usize,
+    len: usize,
+    values: Vec<Value>,
+}
+
+impl Rows {
+    /// The values of `row`.
+    #[inline]
+    fn get(&self, row: u32) -> &[Value] {
+        debug_assert!((row as usize) < self.len, "row {row} out of range");
+        let start = row as usize * self.arity;
+        &self.values[start..start + self.arity]
+    }
+
+    /// Where a staged tuple starts: one past the last row's values.
+    fn end(&self) -> usize {
+        self.len * self.arity
+    }
+}
+
+/// Widest index key gathered on the stack; wider keys spill to the heap.
+const INLINE_KEY: usize = 8;
+
+/// `t`'s values at `cols`, gathered into `buf` (or `spill`, for keys
+/// wider than [`INLINE_KEY`]) so that index maintenance allocates only
+/// when a key is new to the map.
+fn gather<'a>(
+    cols: &[usize],
+    t: &[Value],
+    buf: &'a mut [Value; INLINE_KEY],
+    spill: &'a mut Vec<Value>,
+) -> &'a [Value] {
+    if cols.len() <= INLINE_KEY {
+        for (b, &c) in buf.iter_mut().zip(cols) {
+            *b = t[c];
+        }
+        &buf[..cols.len()]
+    } else {
+        spill.extend(cols.iter().map(|&c| t[c]));
+        spill
+    }
+}
 
 /// A hash index over one set of columns.
 ///
@@ -29,33 +86,36 @@ struct CompositeIndex {
 }
 
 impl CompositeIndex {
-    fn key_of(&self, t: &Tuple) -> Box<[Value]> {
-        self.cols.iter().map(|&c| *t.get(c)).collect()
-    }
-
-    fn add(&mut self, row: u32, t: &Tuple) {
-        self.map.entry(self.key_of(t)).or_default().push(row);
-    }
-
-    /// Insert `row` into the posting list at its sorted position (revival
-    /// of a tombstoned row; plain `add` covers append-order inserts).
-    fn add_sorted(&mut self, row: u32, t: &Tuple) {
-        let rows = self.map.entry(self.key_of(t)).or_default();
-        if let Err(pos) = rows.binary_search(&row) {
-            rows.insert(pos, row);
+    /// Enter `row` into its key's posting list at its sorted position.
+    /// Builds and fresh inserts visit rows in ascending order, so the
+    /// common case is a push; revival of a tombstone binary-searches.
+    fn add(&mut self, row: u32, t: &[Value]) {
+        let (mut buf, mut spill) = ([Value::Int(0); INLINE_KEY], Vec::new());
+        let key = gather(&self.cols, t, &mut buf, &mut spill);
+        match self.map.get_mut(key) {
+            Some(rows) if rows.last().is_some_and(|&last| last >= row) => {
+                if let Err(pos) = rows.binary_search(&row) {
+                    rows.insert(pos, row);
+                }
+            }
+            Some(rows) => rows.push(row),
+            None => {
+                self.map.insert(key.into(), vec![row]);
+            }
         }
     }
 
     /// Remove `row` from the posting list; drops the entry when it empties
     /// so probing a fully-deleted key costs one lookup, not a scan.
-    fn remove(&mut self, row: u32, t: &Tuple) {
-        let key = self.key_of(t);
-        if let Some(rows) = self.map.get_mut(&key) {
+    fn remove(&mut self, row: u32, t: &[Value]) {
+        let (mut buf, mut spill) = ([Value::Int(0); INLINE_KEY], Vec::new());
+        let key = gather(&self.cols, t, &mut buf, &mut spill);
+        if let Some(rows) = self.map.get_mut(key) {
             if let Ok(pos) = rows.binary_search(&row) {
                 rows.remove(pos);
             }
             if rows.is_empty() {
-                self.map.remove(&key);
+                self.map.remove(key);
             }
         }
     }
@@ -67,16 +127,14 @@ impl CompositeIndex {
 pub type IndexId = u32;
 
 /// The relation's dedup set, keyed by row index over the relation's own
-/// tuple storage: linear-probed open addressing where a slot holds `row +
-/// 1` (`0` = empty) and comparisons read `tuples[row]` directly. Replaces
-/// a `Tuple → row` hash map whose owned keys cost one boxed-slice clone
-/// per fresh insert — the dominant cost of rebuilding the set when a
-/// snapshot is decoded (cold open) or a TSV dump is ingested.
+/// row array: linear-probed open addressing where a slot holds `row + 1`
+/// (`0` = empty) and comparisons read the row's values in place, so the
+/// set owns no copy of any tuple.
 ///
-/// Every mutator takes the `tuples` slice it indexes into; the caller
-/// (always [`Relation`]) guarantees slot rows are valid indexes. Removal
-/// uses backward-shift deletion, so there are no tombstones and lookup
-/// chains never rot.
+/// Every mutator takes the [`Rows`] it indexes into; the caller (always
+/// [`Relation`]) guarantees slot rows are valid indexes. Removal uses
+/// backward-shift deletion, so there are no tombstones and lookup chains
+/// never rot.
 #[derive(Clone, Debug, Default)]
 struct RowDedup {
     /// Slot → `row + 1`; `0` is empty. Power-of-two length.
@@ -86,7 +144,7 @@ struct RowDedup {
 }
 
 impl RowDedup {
-    fn hash(t: &Tuple) -> u64 {
+    fn hash(t: &[Value]) -> u64 {
         use std::hash::BuildHasher;
         crate::FxBuildHasher::default().hash_one(t)
     }
@@ -100,8 +158,8 @@ impl RowDedup {
         }
     }
 
-    /// Row of the live tuple equal to `t`, if present.
-    fn get(&self, t: &Tuple, tuples: &[Tuple]) -> Option<u32> {
+    /// Row of the entered tuple equal to `t`, if present.
+    fn get(&self, t: &[Value], rows: &Rows) -> Option<u32> {
         if self.len == 0 {
             return None;
         }
@@ -112,7 +170,7 @@ impl RowDedup {
                 0 => return None,
                 s => {
                     let row = s - 1;
-                    if tuples[row as usize] == *t {
+                    if rows.get(row) == t {
                         return Some(row);
                     }
                 }
@@ -124,8 +182,8 @@ impl RowDedup {
     /// Insert `row`, whose tuple must not equal any entered row's tuple
     /// (check with [`RowDedup::get`] first, or use
     /// [`RowDedup::insert_unique`] for the combined single probe).
-    fn insert(&mut self, row: u32, tuples: &[Tuple]) {
-        let dup = self.insert_unique(row, tuples);
+    fn insert(&mut self, row: u32, rows: &Rows) {
+        let dup = self.insert_unique(row, rows);
         debug_assert!(dup.is_none(), "duplicate live tuple for row {row}");
     }
 
@@ -133,11 +191,11 @@ impl RowDedup {
     /// which case nothing changes and that row is returned. One probe pass:
     /// equal tuples share a hash, hence a home slot, so any duplicate sits
     /// on the probe chain before the first empty slot.
-    fn insert_unique(&mut self, row: u32, tuples: &[Tuple]) -> Option<u32> {
+    fn insert_unique(&mut self, row: u32, rows: &Rows) -> Option<u32> {
         if (self.len + 1) * 4 > self.slots.len() * 3 {
-            self.grow(tuples);
+            self.grow(rows);
         }
-        let t = &tuples[row as usize];
+        let t = rows.get(row);
         let mask = self.slots.len() - 1;
         let mut i = (Self::hash(t) as usize) & mask;
         loop {
@@ -149,7 +207,7 @@ impl RowDedup {
                 }
                 s => {
                     let r = s - 1;
-                    if tuples[r as usize] == *t {
+                    if rows.get(r) == t {
                         return Some(r);
                     }
                 }
@@ -162,12 +220,12 @@ impl RowDedup {
     /// displaced past the hole are walked forward and any whose probe chain
     /// passes through the hole is moved into it, preserving the invariant
     /// that every entry is reachable from its home slot.
-    fn remove(&mut self, row: u32, tuples: &[Tuple]) {
+    fn remove(&mut self, row: u32, rows: &Rows) {
         if self.len == 0 {
             return;
         }
         let mask = self.slots.len() - 1;
-        let mut i = (Self::hash(&tuples[row as usize]) as usize) & mask;
+        let mut i = (Self::hash(rows.get(row)) as usize) & mask;
         loop {
             match self.slots[i] {
                 0 => return,
@@ -182,7 +240,7 @@ impl RowDedup {
             if s == 0 {
                 break;
             }
-            let home = (Self::hash(&tuples[(s - 1) as usize]) as usize) & mask;
+            let home = (Self::hash(rows.get(s - 1)) as usize) & mask;
             // Move j's entry into the hole iff its probe chain (home → j)
             // passes through the hole, measured cyclically.
             if hole.wrapping_sub(home) & mask <= j.wrapping_sub(home) & mask {
@@ -195,12 +253,12 @@ impl RowDedup {
         self.len -= 1;
     }
 
-    fn grow(&mut self, tuples: &[Tuple]) {
+    fn grow(&mut self, rows: &Rows) {
         let new_slots = (self.slots.len() * 2).max(8);
         let old = std::mem::replace(&mut self.slots, vec![0; new_slots].into_boxed_slice());
         let mask = new_slots - 1;
         for s in old.iter().copied().filter(|&s| s != 0) {
-            let mut i = (Self::hash(&tuples[(s - 1) as usize]) as usize) & mask;
+            let mut i = (Self::hash(rows.get(s - 1)) as usize) & mask;
             while self.slots[i] != 0 {
                 i = (i + 1) & mask;
             }
@@ -235,9 +293,9 @@ impl Eq for RowDedup {}
 /// hash indexes — requested by the evaluator's probe plans, one per
 /// distinct set of bound columns — incrementally on insert, delete and
 /// restore.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct Relation {
-    tuples: Vec<Tuple>,
+    rows: Rows,
     dedup: RowDedup,
     indexes: Vec<CompositeIndex>,
     /// Columns signature → position in `indexes`.
@@ -247,8 +305,8 @@ pub struct Relation {
     /// Number of set bits in `live`, maintained incrementally.
     live_count: usize,
     /// Exact per-column live-value frequencies, one entry per column,
-    /// sized lazily from the first inserted tuple and maintained alongside
-    /// the indexes on every mutation (see [`crate::stats`]).
+    /// maintained alongside the indexes on every mutation (see
+    /// [`crate::stats`]).
     stats: Vec<ColumnStats>,
 }
 
@@ -260,7 +318,7 @@ pub struct Relation {
 /// separately by [`Relation::indexes_consistent`].
 impl PartialEq for Relation {
     fn eq(&self, other: &Relation) -> bool {
-        self.tuples == other.tuples
+        self.rows == other.rows
             && self.live == other.live
             && self.live_count == other.live_count
             && self.dedup == other.dedup
@@ -271,57 +329,60 @@ impl PartialEq for Relation {
 impl Eq for Relation {}
 
 impl Relation {
-    /// Empty storage for a relation of the given arity. (The arity is
-    /// implied by the inserted tuples; the parameter is kept for call-site
-    /// clarity.)
-    pub fn new(_arity: usize) -> Relation {
-        Relation::default()
-    }
-
-    /// Rebuild a relation from its persisted parts: every row ever
-    /// inserted (append order, tombstones included — row ids must survive
-    /// the round-trip) plus the live bitset. The dedup map is rebuilt over
-    /// live rows only; indexes start empty and are re-requested by the
-    /// evaluator's probe plans. Errs with a description when the parts
-    /// cannot have come from a real relation (two live duplicate rows).
-    pub(crate) fn from_saved_rows(
-        tuples: Vec<Tuple>,
-        mut live: BitSet,
-    ) -> Result<Relation, String> {
-        live.grow(tuples.len());
-        let live_count = live.count_ones();
-        let mut dedup = RowDedup::with_capacity(live_count);
-        let mut stats = Self::sized_stats(&tuples);
-        for row in live.iter_ones() {
-            if dedup.insert_unique(row as u32, &tuples).is_some() {
-                return Err(format!("row {row} duplicates another live row"));
-            }
-            for (s, v) in stats.iter_mut().zip(tuples[row].values()) {
-                s.add(*v);
-            }
-        }
-        Ok(Relation {
-            tuples,
-            dedup,
+    /// Empty storage for a relation of the given arity.
+    pub fn new(arity: usize) -> Relation {
+        Relation {
+            rows: Rows {
+                arity,
+                len: 0,
+                values: Vec::new(),
+            },
+            dedup: RowDedup::default(),
             indexes: Vec::new(),
             by_cols: FxHashMap::default(),
-            live,
-            live_count,
-            stats,
-        })
+            live: BitSet::default(),
+            live_count: 0,
+            stats: vec![ColumnStats::default(); arity],
+        }
     }
 
-    /// One empty [`ColumnStats`] per column, sized from the first row ever
-    /// inserted (all rows share the schema's arity; a relation that never
-    /// held a row has no columns to track).
-    fn sized_stats(tuples: &[Tuple]) -> Vec<ColumnStats> {
-        vec![ColumnStats::default(); tuples.first().map_or(0, Tuple::arity)]
+    /// Rebuild a relation from its persisted parts: the row-major values
+    /// of every row ever inserted (append order, tombstones included — row
+    /// ids must survive the round-trip) plus the live bitset. The dedup
+    /// set and statistics are rebuilt over live rows only; indexes start
+    /// empty and are re-requested by the evaluator's probe plans. Errs with
+    /// a description when the parts cannot have come from a real relation
+    /// (two live duplicate rows).
+    pub(crate) fn from_saved_rows(
+        arity: usize,
+        rows: usize,
+        values: Vec<Value>,
+        mut live: BitSet,
+    ) -> Result<Relation, String> {
+        debug_assert_eq!(values.len(), rows * arity);
+        live.grow(rows);
+        let mut r = Relation::new(arity);
+        r.rows = Rows {
+            arity,
+            len: rows,
+            values,
+        };
+        r.live_count = live.count_ones();
+        r.live = live;
+        r.rebuild()
+            .map_err(|row| format!("row {row} duplicates another live row"))?;
+        Ok(r)
+    }
+
+    /// Number of attributes of every row.
+    pub fn arity(&self) -> usize {
+        self.rows.arity
     }
 
     /// Number of rows ever inserted (live and tombstoned; the bound for
     /// row-indexed structures like [`crate::State`] bitsets).
     pub fn num_rows(&self) -> usize {
-        self.tuples.len()
+        self.rows.len
     }
 
     /// Number of live (non-tombstoned) rows.
@@ -345,35 +406,90 @@ impl Relation {
         self.live.iter_ones().map(|r| r as u32)
     }
 
-    /// The tuple stored at `row`.
+    /// The values stored at `row`, borrowed from the row array.
     #[inline]
-    pub fn tuple(&self, row: u32) -> &Tuple {
-        &self.tuples[row as usize]
+    pub fn tuple(&self, row: u32) -> &[Value] {
+        self.rows.get(row)
     }
 
     /// Insert `t`, returning its row and whether it was new.
     ///
     /// Re-inserting an existing live tuple returns the original row (set
-    /// semantics).
-    pub fn insert(&mut self, t: Tuple) -> (u32, bool) {
-        if let Some(row) = self.dedup.get(&t, &self.tuples) {
+    /// semantics). Panics when `t` does not have the relation's arity;
+    /// [`Relation::insert_checked`] reports that as an error instead.
+    pub fn insert(&mut self, t: &[Value]) -> (u32, bool) {
+        assert_eq!(t.len(), self.arity(), "tuple arity");
+        if let Some(row) = self.dedup.get(t, &self.rows) {
             return (row, false);
         }
-        let row = u32::try_from(self.tuples.len()).expect("relation too large");
+        self.rows.values.extend_from_slice(t);
+        (self.commit_staged(), true)
+    }
+
+    /// Validate the tuple `values` yields against `schema` and insert it.
+    /// The values are appended straight into the row array and checked
+    /// there, so no per-row buffer is built; a rejected or duplicate
+    /// tuple is truncated away again.
+    pub fn insert_checked(
+        &mut self,
+        schema: &RelationSchema,
+        values: impl IntoIterator<Item = Value>,
+    ) -> Result<(u32, bool), StorageError> {
+        let start = self.rows.end();
+        self.rows.values.extend(values);
+        let staged = &self.rows.values[start..];
+        let checked = if staged.len() != schema.arity() {
+            Err(StorageError::ArityMismatch {
+                relation: schema.name.clone(),
+                expected: schema.arity(),
+                got: staged.len(),
+                line: None,
+            })
+        } else if let Some((attr, v)) = schema
+            .attrs
+            .iter()
+            .zip(staged)
+            .find(|(attr, v)| !attr.ty.admits(v))
+        {
+            Err(StorageError::TypeMismatch {
+                relation: schema.name.clone(),
+                attribute: attr.name.clone(),
+                expected: attr.ty.name(),
+                got: v.type_name(),
+            })
+        } else {
+            Ok(self.dedup.get(staged, &self.rows))
+        };
+        match checked {
+            Ok(None) => Ok((self.commit_staged(), true)),
+            Ok(Some(row)) => {
+                self.rows.values.truncate(start);
+                Ok((row, false))
+            }
+            Err(e) => {
+                self.rows.values.truncate(start);
+                Err(e)
+            }
+        }
+    }
+
+    /// Make the staged tuple (the values past the last row, which the
+    /// caller has checked are new) a live row, entering it into the dedup
+    /// set, every index and the statistics.
+    fn commit_staged(&mut self) -> u32 {
+        let row = u32::try_from(self.rows.len).expect("relation too large");
+        self.rows.len += 1;
+        let t = self.rows.get(row);
         for idx in &mut self.indexes {
-            idx.add(row, &t);
+            idx.add(row, t);
         }
-        if self.stats.len() < t.arity() {
-            self.stats.resize(t.arity(), ColumnStats::default());
-        }
-        for (s, v) in self.stats.iter_mut().zip(t.values()) {
+        for (s, v) in self.stats.iter_mut().zip(t) {
             s.add(*v);
         }
-        self.tuples.push(t);
-        self.dedup.insert(row, &self.tuples);
+        self.dedup.insert(row, &self.rows);
         self.live.set(row as usize);
         self.live_count += 1;
-        (row, true)
+        row
     }
 
     /// Tombstone `row`: drop it from the dedup map and from every composite
@@ -386,12 +502,12 @@ impl Relation {
         }
         self.live.clear(row as usize);
         self.live_count -= 1;
-        self.dedup.remove(row, &self.tuples);
-        let t = &self.tuples[row as usize];
+        self.dedup.remove(row, &self.rows);
+        let t = self.rows.get(row);
         for idx in &mut self.indexes {
             idx.remove(row, t);
         }
-        for (s, v) in self.stats.iter_mut().zip(t.values()) {
+        for (s, v) in self.stats.iter_mut().zip(t) {
             s.remove(v);
         }
         true
@@ -402,59 +518,28 @@ impl Relation {
     /// already live or when an equal live tuple was inserted in the meantime
     /// (reviving it would break set semantics).
     pub fn restore_row(&mut self, row: u32) -> bool {
-        if row as usize >= self.tuples.len() || self.live.get(row as usize) {
+        if row as usize >= self.rows.len || self.live.get(row as usize) {
             return false;
         }
-        if self
-            .dedup
-            .get(&self.tuples[row as usize], &self.tuples)
-            .is_some()
-        {
+        let t = self.rows.get(row);
+        if self.dedup.get(t, &self.rows).is_some() {
             return false;
         }
         self.live.set(row as usize);
         self.live_count += 1;
-        self.dedup.insert(row, &self.tuples);
-        let t = &self.tuples[row as usize];
         for idx in &mut self.indexes {
-            idx.add_sorted(row, t);
+            idx.add(row, t);
         }
-        for (s, v) in self.stats.iter_mut().zip(t.values()) {
+        for (s, v) in self.stats.iter_mut().zip(t) {
             s.add(*v);
         }
+        self.dedup.insert(row, &self.rows);
         true
     }
 
-    /// Validate `t` against `schema` and insert it.
-    pub fn insert_checked(
-        &mut self,
-        schema: &RelationSchema,
-        t: Tuple,
-    ) -> Result<(u32, bool), StorageError> {
-        if t.arity() != schema.arity() {
-            return Err(StorageError::ArityMismatch {
-                relation: schema.name.clone(),
-                expected: schema.arity(),
-                got: t.arity(),
-                line: None,
-            });
-        }
-        for (attr, v) in schema.attrs.iter().zip(t.values()) {
-            if !attr.ty.admits(v) {
-                return Err(StorageError::TypeMismatch {
-                    relation: schema.name.clone(),
-                    attribute: attr.name.clone(),
-                    expected: attr.ty.name(),
-                    got: v.type_name(),
-                });
-            }
-        }
-        Ok(self.insert(t))
-    }
-
     /// Row of `t`, if stored.
-    pub fn find(&self, t: &Tuple) -> Option<u32> {
-        self.dedup.get(t, &self.tuples)
+    pub fn find(&self, t: &[Value]) -> Option<u32> {
+        self.dedup.get(t, &self.rows)
     }
 
     /// Build (or fetch) the composite index over `cols` and return its id.
@@ -473,8 +558,8 @@ impl Relation {
             cols: cols.into(),
             map: FxHashMap::default(),
         };
-        for row in self.live.iter_ones() {
-            idx.add(row as u32, &self.tuples[row]);
+        for row in self.live_rows() {
+            idx.add(row, self.rows.get(row));
         }
         let id = u32::try_from(self.indexes.len()).expect("too many indexes");
         self.by_cols.insert(cols.into(), id);
@@ -518,10 +603,10 @@ impl Relation {
     /// Fraction of ever-inserted rows that are tombstones (`0.0` when no
     /// row was ever inserted).
     pub fn dead_ratio(&self) -> f64 {
-        if self.tuples.is_empty() {
+        if self.rows.len == 0 {
             return 0.0;
         }
-        (self.tuples.len() - self.live_count) as f64 / self.tuples.len() as f64
+        (self.rows.len - self.live_count) as f64 / self.rows.len as f64
     }
 
     /// Rebuild the dedup map and every composite index from the live rows.
@@ -535,26 +620,45 @@ impl Relation {
     /// — so the operation is invisible to readers, evaluation states and
     /// incremental consumers.
     pub fn compact(&mut self) {
+        let rebuilt = self.rebuild();
+        debug_assert!(rebuilt.is_ok(), "live rows hold a duplicate");
+    }
+
+    /// Rebuild the dedup set, every index and the column statistics from
+    /// the live rows, erring with the first live row that duplicates an
+    /// earlier one. The statistics are rebuilt alongside: their *contents*
+    /// are exact under tombstones (zero-count entries are dropped eagerly),
+    /// but a fresh recount sheds the hash-table capacity churn accumulated.
+    /// Each table is sized for the live rows up front and the statistics
+    /// shrunk to fit at the end, so a rebuild makes the same number of
+    /// allocations at any row count.
+    fn rebuild(&mut self) -> Result<(), u32> {
         let mut dedup = RowDedup::with_capacity(self.live_count);
+        let mut stats: Vec<ColumnStats> = (0..self.arity())
+            .map(|_| ColumnStats::with_capacity(self.live_count))
+            .collect();
         for idx in &mut self.indexes {
             idx.map = FxHashMap::default();
         }
-        // Rebuild the column statistics alongside: their *contents* are
-        // already exact under tombstones (zero-count entries are dropped
-        // eagerly), but a fresh recount sheds the hash-table capacity the
-        // churn accumulated, like the index maps.
-        let mut stats = Self::sized_stats(&self.tuples);
         for row in self.live.iter_ones() {
-            dedup.insert(row as u32, &self.tuples);
-            for idx in &mut self.indexes {
-                idx.add(row as u32, &self.tuples[row]);
+            let row = row as u32;
+            if dedup.insert_unique(row, &self.rows).is_some() {
+                return Err(row);
             }
-            for (s, v) in stats.iter_mut().zip(self.tuples[row].values()) {
+            let t = self.rows.get(row);
+            for idx in &mut self.indexes {
+                idx.add(row, t);
+            }
+            for (s, v) in stats.iter_mut().zip(t) {
                 s.add(*v);
             }
         }
+        for s in &mut stats {
+            s.shrink_to_fit();
+        }
         self.dedup = dedup;
         self.stats = stats;
+        Ok(())
     }
 
     /// The column sets of the built composite indexes, in index-id order.
@@ -577,14 +681,14 @@ impl Relation {
         rebuilt == *self && rebuilt.indexes == self.indexes && rebuilt.by_cols == self.by_cols
     }
 
-    /// The exact live-value statistics of column `col`, or `None` when the
-    /// relation never held a row (or `col` is out of range).
+    /// The exact live-value statistics of column `col`, or `None` when
+    /// `col` is out of range.
     pub fn column_stats(&self, col: usize) -> Option<&ColumnStats> {
         self.stats.get(col)
     }
 
     /// Number of distinct live values in column `col` (0 when the relation
-    /// never held a row).
+    /// holds no live row).
     pub fn distinct_count(&self, col: usize) -> usize {
         self.stats.get(col).map_or(0, ColumnStats::distinct)
     }
@@ -599,9 +703,9 @@ impl Relation {
     /// arity)` — checked next to [`Relation::indexes_consistent`] wherever
     /// the instance mutates.
     pub fn stats_consistent(&self) -> bool {
-        let mut recount = Self::sized_stats(&self.tuples);
-        for row in self.live.iter_ones() {
-            for (s, v) in recount.iter_mut().zip(self.tuples[row].values()) {
+        let mut recount = vec![ColumnStats::default(); self.arity()];
+        for (_, t) in self.iter_live() {
+            for (s, v) in recount.iter_mut().zip(t) {
                 s.add(*v);
             }
         }
@@ -609,13 +713,13 @@ impl Relation {
     }
 
     /// Iterate all rows `(row, tuple)` ever inserted, dead ones included.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, &Tuple)> {
-        self.tuples.iter().enumerate().map(|(i, t)| (i as u32, t))
+    pub fn iter(&self) -> impl Iterator<Item = (u32, &[Value])> {
+        (0..self.rows.len as u32).map(|r| (r, self.rows.get(r)))
     }
 
     /// Iterate the live rows `(row, tuple)`, ascending.
-    pub fn iter_live(&self) -> impl Iterator<Item = (u32, &Tuple)> {
-        self.live.iter_ones().map(|r| (r as u32, &self.tuples[r]))
+    pub fn iter_live(&self) -> impl Iterator<Item = (u32, &[Value])> {
+        self.live_rows().map(|r| (r, self.rows.get(r)))
     }
 }
 
@@ -624,15 +728,15 @@ mod tests {
     use super::*;
     use crate::schema::{AttrType, RelationSchema};
 
-    fn t(vals: &[i64]) -> Tuple {
-        Tuple::new(vals.iter().map(|&v| Value::Int(v)).collect::<Vec<_>>())
+    fn t(vals: &[i64]) -> Vec<Value> {
+        vals.iter().map(|&v| Value::Int(v)).collect()
     }
 
     #[test]
     fn insert_dedups() {
         let mut r = Relation::new(2);
-        let (a, fresh_a) = r.insert(t(&[1, 2]));
-        let (b, fresh_b) = r.insert(t(&[1, 2]));
+        let (a, fresh_a) = r.insert(&t(&[1, 2]));
+        let (b, fresh_b) = r.insert(&t(&[1, 2]));
         assert_eq!(a, b);
         assert!(fresh_a);
         assert!(!fresh_b);
@@ -642,10 +746,10 @@ mod tests {
     #[test]
     fn index_before_and_after_insert() {
         let mut r = Relation::new(2);
-        r.insert(t(&[1, 10]));
+        r.insert(&t(&[1, 10]));
         r.ensure_index(0);
-        r.insert(t(&[1, 20]));
-        r.insert(t(&[2, 30]));
+        r.insert(&t(&[1, 20]));
+        r.insert(&t(&[2, 30]));
         assert_eq!(r.lookup(0, &Value::Int(1)).unwrap(), &[0, 1]);
         assert_eq!(r.lookup(0, &Value::Int(2)).unwrap(), &[2]);
         assert_eq!(r.lookup(0, &Value::Int(9)).unwrap(), &[] as &[u32]);
@@ -655,11 +759,11 @@ mod tests {
     #[test]
     fn composite_index_matches_all_key_columns() {
         let mut r = Relation::new(3);
-        r.insert(t(&[1, 10, 100]));
+        r.insert(&t(&[1, 10, 100]));
         let idx = r.ensure_composite_index(&[0, 2]);
-        r.insert(t(&[1, 20, 100]));
-        r.insert(t(&[1, 30, 999]));
-        r.insert(t(&[2, 40, 100]));
+        r.insert(&t(&[1, 20, 100]));
+        r.insert(&t(&[1, 30, 999]));
+        r.insert(&t(&[2, 40, 100]));
         assert_eq!(r.probe(idx, &[Value::Int(1), Value::Int(100)]), &[0, 1]);
         assert_eq!(r.probe(idx, &[Value::Int(2), Value::Int(100)]), &[3]);
         assert_eq!(r.probe(idx, &[Value::Int(9), Value::Int(9)]), &[] as &[u32]);
@@ -682,7 +786,7 @@ mod tests {
         let mut r = Relation::new(2);
         let idx = r.ensure_composite_index(&[1]);
         for i in 0..50 {
-            r.insert(t(&[i, i % 3]));
+            r.insert(&t(&[i, i % 3]));
         }
         for k in 0..3 {
             let rows = r.probe(idx, &[Value::Int(k)]);
@@ -695,7 +799,7 @@ mod tests {
         let schema = RelationSchema::new("R", &[("a", AttrType::Int), ("b", AttrType::Str)]);
         let mut r = Relation::new(2);
         assert!(r
-            .insert_checked(&schema, Tuple::new(vec![Value::Int(1), Value::str("x")]))
+            .insert_checked(&schema, [Value::Int(1), Value::str("x")])
             .is_ok());
         let arity_err = r.insert_checked(&schema, t(&[1])).unwrap_err();
         assert!(matches!(arity_err, StorageError::ArityMismatch { .. }));
@@ -706,7 +810,7 @@ mod tests {
     #[test]
     fn find_locates_rows() {
         let mut r = Relation::new(1);
-        r.insert(t(&[5]));
+        r.insert(&t(&[5]));
         assert_eq!(r.find(&t(&[5])), Some(0));
         assert_eq!(r.find(&t(&[6])), None);
     }
@@ -716,7 +820,7 @@ mod tests {
         let mut r = Relation::new(2);
         let idx = r.ensure_composite_index(&[0]);
         for i in 0..4 {
-            r.insert(t(&[1, i]));
+            r.insert(&t(&[1, i]));
         }
         assert!(r.remove_row(1));
         assert!(!r.remove_row(1), "already dead");
@@ -733,7 +837,7 @@ mod tests {
         let mut r = Relation::new(2);
         let idx = r.ensure_composite_index(&[0]);
         for i in 0..4 {
-            r.insert(t(&[7, i]));
+            r.insert(&t(&[7, i]));
         }
         let before = r.clone();
         assert!(r.remove_row(2));
@@ -748,9 +852,9 @@ mod tests {
     #[test]
     fn restore_refuses_when_a_live_duplicate_exists() {
         let mut r = Relation::new(1);
-        r.insert(t(&[5]));
+        r.insert(&t(&[5]));
         assert!(r.remove_row(0));
-        let (row2, fresh) = r.insert(t(&[5]));
+        let (row2, fresh) = r.insert(&t(&[5]));
         assert!(fresh, "dead rows don't block re-insertion");
         assert_eq!(row2, 1);
         assert!(!r.restore_row(0), "value now lives at row 1");
@@ -778,7 +882,7 @@ mod tests {
             let b = (rng() % 7) as i64;
             match rng() % 4 {
                 0 | 1 => {
-                    let (row, fresh) = r.insert(t(&[a, b]));
+                    let (row, fresh) = r.insert(&t(&[a, b]));
                     match model.get(&(a, b)) {
                         Some(&m) => {
                             assert!(!fresh, "step {step}");
@@ -799,9 +903,8 @@ mod tests {
                 _ => {
                     let row = (rng() % r.num_rows().max(1) as u64) as u32;
                     if r.num_rows() > 0 && r.restore_row(row) {
-                        let tup = r.tuple(row).clone();
-                        let key = match (tup.get(0), tup.get(1)) {
-                            (Value::Int(x), Value::Int(y)) => (*x, *y),
+                        let key = match r.tuple(row) {
+                            &[Value::Int(x), Value::Int(y)] => (x, y),
                             _ => unreachable!(),
                         };
                         assert!(!model.contains_key(&key), "step {step}");
@@ -818,10 +921,38 @@ mod tests {
     }
 
     #[test]
+    fn nullary_relation_holds_at_most_the_empty_tuple() {
+        // Stride 0: the row count cannot come from the value array.
+        let mut r = Relation::new(0);
+        assert_eq!(r.insert(&[]), (0, true));
+        assert_eq!(r.insert(&[]), (0, false), "the empty tuple dedups");
+        assert_eq!(r.num_rows(), 1);
+        assert_eq!(r.tuple(0), &[] as &[Value]);
+        assert_eq!(r.find(&[]), Some(0));
+        assert!(r.remove_row(0));
+        assert_eq!((r.num_rows(), r.live_count()), (1, 0));
+        assert_eq!(r.find(&[]), None);
+        assert!(r.restore_row(0));
+        assert_eq!(r.live_count(), 1);
+        assert!(r.remove_row(0));
+        assert_eq!(r.insert(&[]), (1, true), "a dead row does not block");
+        assert!(!r.restore_row(0), "the empty tuple lives at row 1");
+        let before = r.clone();
+        r.compact();
+        assert_eq!(r, before);
+        assert!(r.indexes_consistent() && r.stats_consistent());
+        assert_eq!(
+            r.iter().map(|(row, t)| (row, t.len())).collect::<Vec<_>>(),
+            [(0, 0), (1, 0)]
+        );
+        assert_eq!(r.iter_live().map(|(row, _)| row).collect::<Vec<_>>(), [1]);
+    }
+
+    #[test]
     fn indexes_built_after_removal_skip_dead_rows() {
         let mut r = Relation::new(2);
         for i in 0..3 {
-            r.insert(t(&[i, 0]));
+            r.insert(&t(&[i, 0]));
         }
         r.remove_row(1);
         let idx = r.ensure_composite_index(&[1]);

@@ -52,6 +52,18 @@ impl ColumnStats {
         all
     }
 
+    /// Empty statistics with room for `n` distinct values.
+    pub(crate) fn with_capacity(n: usize) -> ColumnStats {
+        ColumnStats {
+            counts: FxHashMap::with_capacity_and_hasher(n, Default::default()),
+        }
+    }
+
+    /// Release capacity beyond what the live distinct values need.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.counts.shrink_to_fit();
+    }
+
     pub(crate) fn add(&mut self, v: Value) {
         *self.counts.entry(v).or_insert(0) += 1;
     }

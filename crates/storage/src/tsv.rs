@@ -12,8 +12,7 @@
 
 use crate::error::StorageError;
 use crate::instance::Instance;
-use crate::schema::AttrType;
-use crate::tuple::Tuple;
+use crate::schema::{AttrType, RelId};
 use crate::value::Value;
 use std::fmt::Write as _;
 
@@ -22,12 +21,23 @@ pub fn to_tsv(db: &Instance) -> String {
     let mut out = String::new();
     for (rid, rs) in db.schema().iter() {
         writeln!(out, "# relation {}", rs.name).unwrap();
-        for (_, t) in db.relation(rid).iter_live() {
-            let line: Vec<String> = t.values().iter().map(ToString::to_string).collect();
-            writeln!(out, "{}", line.join("\t")).unwrap();
-        }
+        write_rows(&mut out, db, rid);
     }
     out
+}
+
+/// Append the live rows of `rel`, one tab-separated line each, written
+/// straight from the row array.
+fn write_rows(out: &mut String, db: &Instance, rel: RelId) {
+    for (_, t) in db.relation(rel).iter_live() {
+        for (i, v) in t.iter().enumerate() {
+            if i > 0 {
+                out.push('\t');
+            }
+            write!(out, "{v}").unwrap();
+        }
+        out.push('\n');
+    }
 }
 
 /// Like [`to_tsv`] with *typed* headers carrying the full schema, e.g.
@@ -42,10 +52,7 @@ pub fn to_tsv_typed(db: &Instance) -> String {
             .map(|a| format!("{}: {}", a.name, a.ty.name()))
             .collect();
         writeln!(out, "# relation {}({})", rs.name, cols.join(", ")).unwrap();
-        for (_, t) in db.relation(rid).iter_live() {
-            let line: Vec<String> = t.values().iter().map(ToString::to_string).collect();
-            writeln!(out, "{}", line.join("\t")).unwrap();
-        }
+        write_rows(&mut out, db, rid);
     }
     out
 }
@@ -121,27 +128,30 @@ pub fn load_document(text: &str) -> Result<Instance, StorageError> {
             "document declares no relations (expected `# relation Name(col: type, …)`)".into(),
         ));
     }
-    // Pass 2: reuse the untyped loader, stripping the type annotations.
+    // Pass 2: the data lines, with each header naming its relation by the
+    // text before its type annotations.
     let mut db = Instance::new(schema);
-    let stripped: String = text
-        .lines()
-        .map(|line| {
-            if let Some(rest) = line.strip_prefix("# relation ") {
-                let name = rest.split('(').next().unwrap_or(rest).trim();
-                format!("# relation {name}\n")
-            } else {
-                format!("{line}\n")
-            }
-        })
-        .collect();
-    from_tsv(&mut db, &stripped)?;
+    load_rows(&mut db, text, |rest| rest.split('(').next().unwrap_or(rest))?;
     Ok(db)
 }
 
 /// Load a TSV document (produced by [`to_tsv`]) into an instance with the
 /// given schema. Values are parsed according to the declared attribute types.
 pub fn from_tsv(db: &mut Instance, text: &str) -> Result<usize, StorageError> {
+    load_rows(db, text, |rest| rest)
+}
+
+/// The data lines of `text` into `db`; `header_name` extracts the relation
+/// name from the text after a `# relation ` header. Each line's values are
+/// parsed into one reused buffer and appended to the relation's row array,
+/// so ingest builds no per-row vector or box.
+fn load_rows(
+    db: &mut Instance,
+    text: &str,
+    header_name: fn(&str) -> &str,
+) -> Result<usize, StorageError> {
     let mut current = None;
+    let mut values = Vec::new();
     let mut inserted = 0;
     for (lineno, line) in text.lines().enumerate() {
         let line = line.trim_end_matches('\r');
@@ -149,7 +159,7 @@ pub fn from_tsv(db: &mut Instance, text: &str) -> Result<usize, StorageError> {
             continue;
         }
         if let Some(rest) = line.strip_prefix("# relation ") {
-            current = Some(db.schema().require(rest.trim())?);
+            current = Some(db.schema().require(header_name(rest).trim())?);
             continue;
         }
         let rel = current.ok_or_else(|| {
@@ -158,18 +168,18 @@ pub fn from_tsv(db: &mut Instance, text: &str) -> Result<usize, StorageError> {
                 lineno + 1
             ))
         })?;
-        let rs = db.schema().rel(rel).clone();
-        let fields: Vec<&str> = line.split('\t').collect();
-        if fields.len() != rs.arity() {
+        let rs = db.schema().rel(rel);
+        let fields = line.split('\t').count();
+        if fields != rs.arity() {
             return Err(StorageError::ArityMismatch {
                 relation: rs.name.clone(),
                 expected: rs.arity(),
-                got: fields.len(),
+                got: fields,
                 line: Some(lineno + 1),
             });
         }
-        let mut values = Vec::with_capacity(fields.len());
-        for (attr, field) in rs.attrs.iter().zip(&fields) {
+        values.clear();
+        for (attr, field) in rs.attrs.iter().zip(line.split('\t')) {
             let v = match attr.ty {
                 AttrType::Int => Value::Int(field.parse::<i64>().map_err(|e| {
                     StorageError::Parse(format!(
@@ -185,7 +195,7 @@ pub fn from_tsv(db: &mut Instance, text: &str) -> Result<usize, StorageError> {
             };
             values.push(v);
         }
-        db.insert(rel, Tuple::new(values))?;
+        db.insert(rel, values.iter().copied())?;
         inserted += 1;
     }
     Ok(inserted)

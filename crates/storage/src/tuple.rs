@@ -1,54 +1,8 @@
-//! Tuples and tuple identities.
+//! Tuple identities. The tuples themselves are rows of a
+//! [`crate::Relation`]'s value array, borrowed as `&[Value]`.
 
 use crate::schema::RelId;
-use crate::value::Value;
 use std::fmt;
-
-/// An immutable tuple of values.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub struct Tuple(Box<[Value]>);
-
-impl Tuple {
-    /// Build a tuple from values.
-    pub fn new(values: impl Into<Box<[Value]>>) -> Tuple {
-        Tuple(values.into())
-    }
-
-    /// Attribute values in order.
-    pub fn values(&self) -> &[Value] {
-        &self.0
-    }
-
-    /// Number of attributes.
-    pub fn arity(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Value at position `i`.
-    #[inline]
-    pub fn get(&self, i: usize) -> &Value {
-        &self.0[i]
-    }
-}
-
-impl fmt::Display for Tuple {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "(")?;
-        for (i, v) in self.0.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "{v}")?;
-        }
-        write!(f, ")")
-    }
-}
-
-impl From<Vec<Value>> for Tuple {
-    fn from(v: Vec<Value>) -> Tuple {
-        Tuple(v.into_boxed_slice())
-    }
-}
 
 /// Stable identity of a tuple within an [`crate::Instance`].
 ///
@@ -85,27 +39,6 @@ impl fmt::Display for TupleId {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn tuple_accessors() {
-        let t = Tuple::new(vec![Value::Int(1), Value::str("NSF")]);
-        assert_eq!(t.arity(), 2);
-        assert_eq!(t.get(0), &Value::Int(1));
-        assert_eq!(t.values()[1], Value::str("NSF"));
-    }
-
-    #[test]
-    fn tuple_display() {
-        let t = Tuple::new(vec![Value::Int(2), Value::str("ERC")]);
-        assert_eq!(t.to_string(), "(2, ERC)");
-    }
-
-    #[test]
-    fn tuple_equality_is_structural() {
-        let a = Tuple::new(vec![Value::Int(1)]);
-        let b = Tuple::new(vec![Value::Int(1)]);
-        assert_eq!(a, b);
-    }
 
     #[test]
     fn tuple_id_ordering() {

@@ -123,8 +123,7 @@ pub use datalog::{
 };
 
 pub use storage::{
-    Attr, AttrType, Instance, RelId, RelationSchema, Schema, State, StorageError, Tuple, TupleId,
-    Value,
+    Attr, AttrType, Instance, RelId, RelationSchema, Schema, State, StorageError, TupleId, Value,
 };
 
 /// The full storage substrate (also re-exported piecemeal at the root).

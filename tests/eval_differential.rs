@@ -274,7 +274,7 @@ fn reference_rule(
             let mut bound_here: Vec<u32> = Vec::new();
             let mut ok = true;
             for (col, slot) in atom.slots.iter().enumerate() {
-                let val = tuple.get(col);
+                let val = &tuple[col];
                 match slot {
                     Slot::Const(c) => {
                         if c != val {

@@ -32,7 +32,7 @@ fn mutate(session: &mut RepairSession, stride: usize, fresh: usize, salt: i64) -
     let readd: Vec<Vec<Value>> = doomed
         .iter()
         .step_by(2)
-        .map(|&t| session.db().tuple(t).values().to_vec())
+        .map(|&t| session.db().tuple(t).to_vec())
         .collect();
     let rel_names: Vec<String> = session
         .db()

@@ -1,4 +1,4 @@
-//! The three performance floors of the engine, pinned by the work they do
+//! The four performance floors of the engine, pinned by the work they do
 //! rather than by wall-clock time, so they hold on any host:
 //!
 //! * **Incremental re-repair** — after a 0.2% delete or restore batch, the
@@ -11,6 +11,10 @@
 //!   the same assignments.
 //! * **Cold open** — a clean durable open decodes the newest snapshot and
 //!   replays only the WAL records appended after it.
+//! * **Row storage** — cloning a relation and decoding a snapshot make the
+//!   same number of heap allocations at N rows and at 4N: a relation keeps
+//!   its tuples in one value array, not one allocation per tuple. Counted
+//!   by this binary's global allocator, per thread.
 //!
 //! The timings these floors stand for are compared per change by the
 //! `benchmark/` harness (`session-churn`, `zipf-scale` and `cold-start`).
@@ -18,11 +22,61 @@
 use delta_repairs::datagen::{mas, scale, tpch, MasConfig, ScaleConfig, TpchConfig};
 use delta_repairs::datalog::{Evaluator, Mode};
 use delta_repairs::engine::{DeltaPolicy, EngineState, FixpointDriver};
+use delta_repairs::storage::disk::snapshot;
 use delta_repairs::storage::{DiskOptions, DiskStore, FsyncPolicy, MemIo, SessionMeta, WalRecord};
 use delta_repairs::workloads::{mas_programs, tpch_programs, zipf_programs, Workload};
-use delta_repairs::{Instance, RepairRequest, RepairSession, Semantics, TupleId};
+use delta_repairs::{
+    AttrType, Instance, RepairRequest, RepairSession, Schema, Semantics, TupleId, Value,
+};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::path::Path;
 use std::sync::Arc;
+
+/// The system allocator, counting the allocations each thread makes.
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: the allocator also runs while a thread's locals are torn down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// `f`'s result and the heap allocations (reallocations included) this
+/// thread made while running it.
+fn allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (out, ALLOCATIONS.with(Cell::get) - before)
+}
 
 fn workload<'w>(workloads: &'w [Workload], name: &str) -> &'w Workload {
     workloads
@@ -196,4 +250,56 @@ fn cold_open_decodes_the_snapshot_and_replays_only_the_tail() {
     assert_eq!(report.records_replayed, tail.len() as u64, "{report:?}");
     assert_eq!(report.batches_replayed, 1, "{report:?}");
     assert!(recovered == expected, "recovered instance differs");
+}
+
+/// An index-free `R(id: int, name: str, grp: int)` of `n` rows: a key
+/// column, a 5-value string column and a 7-value integer column, with
+/// every 10th row tombstoned.
+fn three_column_instance(n: i64) -> Instance {
+    let mut schema = Schema::new();
+    schema.relation(
+        "R",
+        &[
+            ("id", AttrType::Int),
+            ("name", AttrType::Str),
+            ("grp", AttrType::Int),
+        ],
+    );
+    let mut db = Instance::new(schema);
+    let names = ["ann", "bob", "cy", "dee", "eve"];
+    let ids: Vec<TupleId> = (0..n)
+        .map(|i| {
+            let row = [
+                Value::Int(i),
+                Value::str(names[i as usize % 5]),
+                Value::Int(i % 7),
+            ];
+            db.insert_values("R", row).expect("typed row")
+        })
+        .collect();
+    db.delete_tuples(ids.into_iter().step_by(10))
+        .expect("live ids");
+    db
+}
+
+#[test]
+fn relation_clone_and_snapshot_decode_allocate_nothing_per_row() {
+    let (n, big) = (1_000, 4_000);
+    let clone_allocs = |db: &Instance| {
+        let rel = db.schema().rel_id("R").expect("declared");
+        let (copy, allocs) = allocations(|| db.relation(rel).clone());
+        assert!(copy == *db.relation(rel));
+        allocs
+    };
+    let decode_allocs = |db: &Instance| {
+        let bytes = snapshot::encode(0, db, &SessionMeta::default());
+        let (snap, allocs) = allocations(|| snapshot::decode(&bytes).expect("clean snapshot"));
+        assert!(snap.db == *db);
+        allocs
+    };
+    let (small_db, big_db) = (three_column_instance(n), three_column_instance(big));
+    let (small, large) = (clone_allocs(&small_db), clone_allocs(&big_db));
+    assert_eq!(small, large, "Relation::clone at {n} and {big} rows");
+    let (small, large) = (decode_allocs(&small_db), decode_allocs(&big_db));
+    assert_eq!(small, large, "snapshot::decode at {n} and {big} rows");
 }
